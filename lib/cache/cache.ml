@@ -55,24 +55,40 @@ let base_of t block =
   in
   index * t.assoc
 
+(* Set scans are top-level functions rather than local closures, so a
+   lookup allocates nothing. *)
+let rec scan_for t block slot stop =
+  if slot >= stop then -1
+  else if
+    Bytes.unsafe_get t.meta slot <> m_invalid
+    && Array.unsafe_get t.tags slot = block
+  then slot
+  else scan_for t block (slot + 1) stop
+
+let rec scan_free t slot stop =
+  if slot >= stop then -1
+  else if Bytes.unsafe_get t.meta slot = m_invalid then slot
+  else scan_free t (slot + 1) stop
+
 (* Slot of [block] if cached, else -1. *)
 let find_slot t block =
   let base = base_of t block in
-  let rec go i =
-    if i >= t.assoc then -1
-    else
-      let slot = base + i in
-      if
-        Bytes.unsafe_get t.meta slot <> m_invalid
-        && Array.unsafe_get t.tags slot = block
-      then slot
-      else go (i + 1)
-  in
-  go 0
+  scan_for t block base (base + t.assoc)
+
+(* [probe] and [lookup] answer with these shared values, so a hit
+   allocates no option. *)
+let some_shared = Some Shared
+
+let some_exclusive = Some Exclusive
+
+let some_state_of_meta = function
+  | '\001' -> some_shared
+  | '\002' -> some_exclusive
+  | _ -> invalid_arg "Cache: invalid line"
 
 let probe t ~block =
   let slot = find_slot t block in
-  if slot < 0 then None else Some (state_of_meta (Bytes.unsafe_get t.meta slot))
+  if slot < 0 then None else some_state_of_meta (Bytes.unsafe_get t.meta slot)
 
 let lookup t ~block =
   let slot = find_slot t block in
@@ -82,7 +98,7 @@ let lookup t ~block =
   end
   else begin
     t.hit_count <- t.hit_count + 1;
-    Some (state_of_meta (Bytes.unsafe_get t.meta slot))
+    some_state_of_meta (Bytes.unsafe_get t.meta slot)
   end
 
 let insert t ~block ~state =
@@ -94,12 +110,7 @@ let insert t ~block ~state =
   else begin
     let base = base_of t block in
     let slot =
-      let rec free i =
-        if i >= t.assoc then -1
-        else if Bytes.unsafe_get t.meta (base + i) = m_invalid then base + i
-        else free (i + 1)
-      in
-      match free 0 with
+      match scan_free t base (base + t.assoc) with
       | -1 -> base + Tt_util.Prng.int t.prng t.assoc
       | s -> s
     in

@@ -181,9 +181,9 @@ let directory t i = t.nodes.(i).dir
 let node_stats t i = t.nodes.(i).stats
 
 let page_home t ~vpage =
-  match Hashtbl.find_opt t.homes vpage with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.homes vpage with
+  | h -> h
+  | exception Not_found ->
       invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x is not allocated" vpage)
 
 let map_shared_page t ~vpage ~home =
@@ -721,24 +721,19 @@ let miss_via_directory t node th ~home ~handler block =
       else t.params.Params.remote_miss_finish)
     + repl)
 
-let cpu_access t ~node th access vaddr =
-  let n = t.nodes.(node) in
-  Stats.Counter.incr n.c_accesses;
-  Thread.maybe_yield th;
-  Thread.advance th 1;
-  let vpage = Addr.page_of vaddr in
-  Thread.advance th (Tlb.access n.tlb vpage);
-  let home_id = page_home t ~vpage in
+(* The local fast paths need the directory entry idle and no writeback of
+   ours still travelling to the home. *)
+let entry_free n block (entry : Directory.entry) =
+  entry.Directory.busy = None && not (Hashtbl.mem n.wb_inflight block)
+
+(* A store to a shared line ([cached] is [Some _]) or a cache miss: take
+   the local directory fast path or go through the home's controller. *)
+let cpu_miss t n th access ~home_id block cached =
+  let node = n.id in
   let home = t.nodes.(home_id) in
-  let block = Addr.block_of vaddr in
   let local = home_id = node in
-  let entry_free entry =
-    entry.Directory.busy = None && not (Hashtbl.mem n.wb_inflight block)
-  in
-  match Cache.lookup n.cache ~block with
-  | Some Cache.Exclusive -> ()
-  | Some Cache.Shared when access = Tag.Load -> ()
-  | Some Cache.Shared ->
+  match cached with
+  | Some _ ->
       (* upgrade *)
       Stats.Counter.incr n.c_upgrades;
       let entry = Directory.entry home.dir ~block in
@@ -746,7 +741,7 @@ let cpu_access t ~node th access vaddr =
         List.filter (fun s -> s <> node) (Bitset.to_list entry.Directory.sharers)
       in
       if
-        local && entry_free entry && others = []
+        local && entry_free n block entry && others = []
         && entry.Directory.owner = None
         && not entry.Directory.overflowed
       then begin
@@ -766,7 +761,7 @@ let cpu_access t ~node th access vaddr =
             | Some o -> o <> node
             | None -> false
           in
-          if local && entry_free entry && not conflict then begin
+          if local && entry_free n block entry && not conflict then begin
             dbg block "t=%d cpu%d fastpath-load" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
@@ -801,7 +796,7 @@ let cpu_access t ~node th access vaddr =
             | Some o -> o <> node
             | None -> false
           in
-          if local && entry_free entry && not conflict then begin
+          if local && entry_free n block entry && not conflict then begin
             dbg block "t=%d cpu%d fastpath-store" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
@@ -811,29 +806,47 @@ let cpu_access t ~node th access vaddr =
           end
           else miss_via_directory t n th ~home:home_id ~handler:h_readex block)
 
+(* Returns the page's home when the access completes, i.e. where its value
+   lives.  A miss through the directory suspends, and crash recovery may
+   re-home the page meanwhile ([on_node_death]), so after a miss the home
+   is looked up again. *)
+let cpu_access t ~node th access vaddr =
+  let n = t.nodes.(node) in
+  Stats.Counter.incr n.c_accesses;
+  Thread.maybe_yield th;
+  Thread.advance th 1;
+  let vpage = Addr.page_of vaddr in
+  Thread.advance th (Tlb.access n.tlb vpage);
+  let home_id = page_home t ~vpage in
+  let block = Addr.block_of vaddr in
+  match Cache.lookup n.cache ~block with
+  | Some Cache.Exclusive -> home_id
+  | Some Cache.Shared when access = Tag.Load -> home_id
+  | cached ->
+      cpu_miss t n th access ~home_id block cached;
+      page_home t ~vpage
+
 let cpu_read_f64 t ~node th vaddr =
-  cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_f64 t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
+  let home = cpu_access t ~node th Tag.Load vaddr in
+  Pagemem.read_f64 t.nodes.(home).mem ~vaddr
 
 let cpu_write_f64 t ~node th vaddr v =
-  cpu_access t ~node th Tag.Store vaddr;
+  let home = cpu_access t ~node th Tag.Store vaddr in
   (match t.on_dirty with
   | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
-  Pagemem.write_f64 t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
-    v
+  Pagemem.write_f64 t.nodes.(home).mem ~vaddr v
 
 let cpu_read_int t ~node th vaddr =
-  cpu_access t ~node th Tag.Load vaddr;
-  Pagemem.read_int t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
+  let home = cpu_access t ~node th Tag.Load vaddr in
+  Pagemem.read_int t.nodes.(home).mem ~vaddr
 
 let cpu_write_int t ~node th vaddr v =
-  cpu_access t ~node th Tag.Store vaddr;
+  let home = cpu_access t ~node th Tag.Store vaddr in
   (match t.on_dirty with
   | Some f -> f ~vpage:(Addr.page_of vaddr)
   | None -> ());
-  Pagemem.write_int t.nodes.(page_home t ~vpage:(Addr.page_of vaddr)).mem ~vaddr
-    v
+  Pagemem.write_int t.nodes.(home).mem ~vaddr v
 
 (* ------------------------------------------------------------------ *)
 (* Crash-stop recovery                                                 *)

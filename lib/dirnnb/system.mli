@@ -64,7 +64,10 @@ val queue_summary : t -> string
     diagnostics. *)
 
 val cpu_access :
-  t -> node:int -> Tt_sim.Thread.t -> Tt_mem.Tag.access -> int -> unit
+  t -> node:int -> Tt_sim.Thread.t -> Tt_mem.Tag.access -> int -> int
+(** Runs one access through the TLB, cache and directory, stalling on a
+    miss, and returns the home node of the page when it completes: the
+    node whose memory holds the value. *)
 
 val cpu_read_f64 : t -> node:int -> Tt_sim.Thread.t -> int -> float
 

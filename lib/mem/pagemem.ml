@@ -17,9 +17,11 @@ type t = {
   (* 1-entry MRU translation cache: memory access streams are heavily
      same-page, so the common case skips the Hashtbl entirely.  [mru_vpage]
      is a sentinel (-1) when invalid; [mru_page] then points at a shared
-     dummy page that no vpage can reach. *)
+     dummy page that no vpage can reach.  [mru_found] is [Some mru_page],
+     kept so that [find_page] on the MRU page allocates nothing. *)
   mutable mru_vpage : int;
   mutable mru_page : page;
+  mutable mru_found : page option;
 }
 
 let dummy_page =
@@ -28,7 +30,18 @@ let dummy_page =
 
 let create ?max_pages ~node () =
   { node_id = node; capacity = max_pages; pages = Hashtbl.create 256;
-    mru_vpage = -1; mru_page = dummy_page }
+    mru_vpage = -1; mru_page = dummy_page; mru_found = None }
+
+(* [found] is [Some page]: callers pass the option they already hold. *)
+let set_mru t ~vpage page found =
+  t.mru_vpage <- vpage;
+  t.mru_page <- page;
+  t.mru_found <- found
+
+let clear_mru t =
+  t.mru_vpage <- -1;
+  t.mru_page <- dummy_page;
+  t.mru_found <- None
 
 let node t = t.node_id
 
@@ -40,12 +53,11 @@ let is_mapped t ~vpage =
   vpage = t.mru_vpage || Hashtbl.mem t.pages vpage
 
 let find_page t ~vpage =
-  if vpage = t.mru_vpage then Some t.mru_page
+  if vpage = t.mru_vpage then t.mru_found
   else
     match Hashtbl.find_opt t.pages vpage with
     | Some p as r ->
-        t.mru_vpage <- vpage;
-        t.mru_page <- p;
+        set_mru t ~vpage p r;
         r
     | None -> None
 
@@ -53,9 +65,8 @@ let get_page t ~vpage =
   if vpage = t.mru_vpage then t.mru_page
   else
     match Hashtbl.find_opt t.pages vpage with
-    | Some p ->
-        t.mru_vpage <- vpage;
-        t.mru_page <- p;
+    | Some p as r ->
+        set_mru t ~vpage p r;
         p
     | None ->
         invalid_arg
@@ -84,13 +95,10 @@ let map t ~vpage ~home ~mode ~init_tag =
   set_all_tags page init_tag;
   Hashtbl.replace t.pages vpage page;
   (* a freshly mapped page is about to be accessed: warm the MRU slot *)
-  t.mru_vpage <- vpage;
-  t.mru_page <- page;
+  set_mru t ~vpage page (Some page);
   page
 
-let invalidate_translation t =
-  t.mru_vpage <- -1;
-  t.mru_page <- dummy_page
+let invalidate_translation t = clear_mru t
 
 let translation_cached t ~vpage = vpage = t.mru_vpage
 
@@ -99,10 +107,7 @@ let unmap t ~vpage =
     invalid_arg
       (Printf.sprintf "Pagemem.unmap: node %d, vpage 0x%x not mapped" t.node_id
          vpage);
-  if vpage = t.mru_vpage then begin
-    t.mru_vpage <- -1;
-    t.mru_page <- dummy_page
-  end;
+  if vpage = t.mru_vpage then clear_mru t;
   Hashtbl.remove t.pages vpage
 
 let iter_pages t f = Hashtbl.iter f t.pages
@@ -121,12 +126,13 @@ let check_word_aligned vaddr =
   if not (Addr.is_word_aligned vaddr) then
     invalid_arg (Printf.sprintf "Pagemem: unaligned word access at 0x%x" vaddr)
 
-let read_i64 t ~vaddr =
+(* Inlined so that the typed accessors below keep the [int64] unboxed. *)
+let[@inline] read_i64 t ~vaddr =
   check_word_aligned vaddr;
   let page = page_of_addr t vaddr in
   Bytes.get_int64_le page.data (Addr.page_offset vaddr)
 
-let write_i64 t ~vaddr v =
+let[@inline] write_i64 t ~vaddr v =
   check_word_aligned vaddr;
   let page = page_of_addr t vaddr in
   Bytes.set_int64_le page.data (Addr.page_offset vaddr) v

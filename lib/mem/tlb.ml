@@ -3,13 +3,18 @@ type t = {
   miss_penalty : int;
   present : (int, unit) Hashtbl.t;
   order : int Queue.t; (* FIFO of inserted keys; may contain flushed keys *)
+  (* most recently used key, known present, so a repeated access skips the
+     table; [no_key] when unset.  Replacement order is [order]'s alone. *)
+  mutable mru : int;
   mutable hits : int;
   mutable misses : int;
 }
 
+let no_key = min_int
+
 let create ?(entries = 64) ~miss_penalty () =
   { entries; miss_penalty; present = Hashtbl.create 128; order = Queue.create ();
-    hits = 0; misses = 0 }
+    mru = no_key; hits = 0; misses = 0 }
 
 let probe t key = Hashtbl.mem t.present key
 
@@ -18,12 +23,20 @@ let rec evict_one t =
   | None -> ()
   | Some victim ->
       (* Stale queue entries (flushed pages) are skipped. *)
-      if Hashtbl.mem t.present victim then Hashtbl.remove t.present victim
+      if Hashtbl.mem t.present victim then begin
+        Hashtbl.remove t.present victim;
+        if victim = t.mru then t.mru <- no_key
+      end
       else evict_one t
 
 let access t key =
-  if probe t key then begin
+  if key = t.mru then begin
     t.hits <- t.hits + 1;
+    0
+  end
+  else if Hashtbl.mem t.present key then begin
+    t.hits <- t.hits + 1;
+    t.mru <- key;
     0
   end
   else begin
@@ -31,12 +44,16 @@ let access t key =
     if Hashtbl.length t.present >= t.entries then evict_one t;
     Hashtbl.replace t.present key ();
     Queue.add key t.order;
+    t.mru <- key;
     t.miss_penalty
   end
 
-let flush_entry t key = Hashtbl.remove t.present key
+let flush_entry t key =
+  if key = t.mru then t.mru <- no_key;
+  Hashtbl.remove t.present key
 
 let flush_all t =
+  t.mru <- no_key;
   Hashtbl.reset t.present;
   Queue.clear t.order
 

@@ -3,7 +3,9 @@
     Used both for the CPU TLB and the NP's TLB/RTLB (Table 2: 64 entries,
     fully associative, FIFO replacement, 25-cycle miss).  It caches only the
     *presence* of a translation; the authoritative mapping lives in
-    {!Pagemem}.  Callers ask [access] and charge the returned penalty. *)
+    {!Pagemem}.  Callers ask [access] and charge the returned penalty.
+    A one-entry most-recently-used front answers a repeated access
+    without a table lookup; it never changes which entry FIFO evicts. *)
 
 type t
 

@@ -231,20 +231,24 @@ let grant t ep ~vaddr (bd : Dir.block_dir) client =
       ep.Tempest.set_rw ~vaddr;
       ep.Tempest.resume res
 
+(* [%a] printers for [serve]'s trace line: they run only for a traced
+   block. *)
+let client_name () = function
+  | Dir.Remote (r, k) ->
+      Printf.sprintf "R%d:%s" r
+        (match k with `Ro -> "ro" | `Rw -> "rw" | `Up -> "up")
+  | Dir.Home (_, a) ->
+      Printf.sprintf "H:%s" (match a with Tag.Load -> "ld" | Tag.Store -> "st")
+
+let state_name () = function
+  | Dir.Idle -> "idle"
+  | Dir.Shared -> "shared"
+  | Dir.Remote_excl o -> Printf.sprintf "excl%d" o
+
 (* Serve one request at the home node; queues behind pending transactions. *)
 let rec serve t (ep : Tempest.t) ~vaddr (bd : Dir.block_dir) client =
-  dbg vaddr "serve home=%d client=%s state=%s pending=%b waiters=%d"
-    ep.Tempest.node
-    (match client with
-    | Dir.Remote (r, k) ->
-        Printf.sprintf "R%d:%s" r
-          (match k with `Ro -> "ro" | `Rw -> "rw" | `Up -> "up")
-    | Dir.Home (_, a) ->
-        Printf.sprintf "H:%s" (match a with Tag.Load -> "ld" | Tag.Store -> "st"))
-    (match bd.Dir.state with
-    | Dir.Idle -> "idle"
-    | Dir.Shared -> "shared"
-    | Dir.Remote_excl o -> Printf.sprintf "excl%d" o)
+  dbg vaddr "serve home=%d client=%a state=%a pending=%b waiters=%d"
+    ep.Tempest.node client_name client state_name bd.Dir.state
     (bd.Dir.pending <> None)
     (Queue.length bd.Dir.waiters);
   touch_dir ep ~vaddr;

@@ -583,25 +583,6 @@ let rec cpu_access t ~node th access vaddr =
       cpu_access t ~node th access vaddr
   | Some page -> (
       let block = Addr.block_of vaddr in
-      let block_fault () =
-        (* the denied bus transaction: inhibit + relinquish-and-retry *)
-        Thread.advance th t.params.Params.fault_detect;
-        let tag = Pagemem.get_tag n.mem ~vaddr in
-        let fault =
-          {
-            Tempest.fault_vaddr = vaddr;
-            fault_access = access;
-            fault_tag = tag;
-            fault_mode = page.Pagemem.mode;
-            fault_resumption = Tempest.make_resumption (fun () -> ());
-          }
-        in
-        suspend_on_fault n th (fun resumption ->
-            Np.post n.np ~at:(Thread.clock th)
-              (Np.Block_fault
-                 { fault with Tempest.fault_resumption = resumption }));
-        cpu_access t ~node th access vaddr
-      in
       match Cache.lookup n.cache ~block with
       | Some Tt_cache.Cache.Exclusive -> ()
       | Some Tt_cache.Cache.Shared when access = Tag.Load -> ()
@@ -614,7 +595,7 @@ let rec cpu_access t ~node th access vaddr =
             Thread.advance th t.params.Params.upgrade;
             Cache.set_state n.cache ~block Tt_cache.Cache.Exclusive
           end
-          else block_fault ()
+          else block_fault t n ~node th access vaddr page
       | None ->
           (* miss: bus Read / Read-invalidate transaction *)
           let tag = Pagemem.get_tag n.mem ~vaddr in
@@ -631,7 +612,25 @@ let rec cpu_access t ~node th access vaddr =
                memory and the perfect write buffer makes writebacks free *)
             ignore (Cache.insert n.cache ~block ~state)
           end
-          else block_fault ())
+          else block_fault t n ~node th access vaddr page)
+
+(* The denied bus transaction: inhibit + relinquish-and-retry. *)
+and block_fault t n ~node th access vaddr page =
+  Thread.advance th t.params.Params.fault_detect;
+  let tag = Pagemem.get_tag n.mem ~vaddr in
+  let fault =
+    {
+      Tempest.fault_vaddr = vaddr;
+      fault_access = access;
+      fault_tag = tag;
+      fault_mode = page.Pagemem.mode;
+      fault_resumption = Tempest.make_resumption (fun () -> ());
+    }
+  in
+  suspend_on_fault n th (fun resumption ->
+      Np.post n.np ~at:(Thread.clock th)
+        (Np.Block_fault { fault with Tempest.fault_resumption = resumption }));
+  cpu_access t ~node th access vaddr
 
 let cpu_read_f64 t ~node th vaddr =
   cpu_access t ~node th Tag.Load vaddr;

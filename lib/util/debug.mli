@@ -3,7 +3,13 @@
     Set the environment variable [TT_DEBUG_BLOCK] to a block identifier
     (for DirNNB a global block number, for Stache a block-base virtual
     address; decimal or 0x-prefixed) and every protocol event touching that
-    block is streamed to stderr.  Zero cost when unset. *)
+    block is streamed to stderr.
+
+    A line for a block that is not traced costs one int compare: {!log}
+    returns a preallocated no-op that swallows the format's arguments,
+    so nothing is formatted, nothing is allocated and no [%a] printer
+    runs.  Arguments the caller computes before the call are still
+    computed, so pass anything costly through [%a]. *)
 
 val target : int option
 (** The requested block key, parsed once at startup. *)

@@ -1,41 +1,12 @@
 #!/bin/sh
-# Event-queue A/B and scaling gate.
-#
-# 1. Runs the full test suite under both event-queue implementations
-#    (TT_EVQ=heap and TT_EVQ=cal) so the pinned simulated-cycle
-#    regression rows, torture replays, and the heap/calendar equivalence
-#    property in test_sim.ml are checked both ways.  The two queues must
-#    drain in the exact same (time, salt, seq) total order: any
-#    divergence fails a pinned test.
-# 2. Runs a fast 64-node smoke sweep of two Fig. 3 apps under both
-#    implementations and diffs the simulated-cycle tables byte for byte
-#    (host-CPU lines excluded — wall-clock is the only thing allowed to
-#    differ).
+# Scaling smoke gate: a fast 64-node sweep of two Fig. 3 apps on both
+# systems must run to completion.
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== full suite, TT_EVQ=heap =="
-TT_EVQ=heap dune runtest --force
-
-echo "== full suite, TT_EVQ=cal =="
-TT_EVQ=cal dune runtest --force
-
 dune build bin/tt.exe
-TT=_build/default/bin/tt.exe
 
-heap_out=$(mktemp /tmp/tt-scale-heap.XXXXXX)
-cal_out=$(mktemp /tmp/tt-scale-cal.XXXXXX)
-trap 'rm -f "$heap_out" "$cal_out"' EXIT
+echo "== 64-node smoke sweep =="
+_build/default/bin/tt.exe scale --apps em3d,ocean -n 64 --scale 0.1
 
-echo "== 64-node smoke sweep, TT_EVQ=heap =="
-TT_EVQ=heap "$TT" scale --apps em3d,ocean -n 64 --scale 0.1 \
-  | grep -v "host CPU" >"$heap_out"
-cat "$heap_out"
-
-echo "== 64-node smoke sweep, TT_EVQ=cal =="
-TT_EVQ=cal "$TT" scale --apps em3d,ocean -n 64 --scale 0.1 \
-  | grep -v "host CPU" >"$cal_out"
-
-diff -u "$heap_out" "$cal_out"
-
-echo "event-queue parity: suites green both ways, sweep tables identical"
+echo "scaling smoke sweep completed"

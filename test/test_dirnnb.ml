@@ -239,6 +239,55 @@ let prop_random_program =
       Array.for_all Thread.finished threads
       && Dirnnb.check_invariants sys = Ok ())
 
+(* Node 0 stalls on a remote read miss; the page's home (node 1) crashes
+   while the request is in flight, so the request is lost.  The death
+   verdict re-homes the page on node 2 from a checkpoint, which re-issues
+   the request there.  The read must return the checkpoint's value from
+   node 2's memory, not anything left at the old home. *)
+let test_read_after_rehome_while_stalled () =
+  let p = Params.default in
+  let sent = 1 + 25 + p.Params.remote_miss_base in
+  let config =
+    Tt_net.Faults.uniform
+      ~crashes:[ Tt_net.Faults.crash ~victim:1 ~at:(sent + 1) () ]
+      ()
+  in
+  let engine = Engine.create () in
+  let sys =
+    Dirnnb.create ~reliability:(Tt_net.Reliable.Flaky config) engine
+      { p with Params.nodes = 3 }
+  in
+  Dirnnb.map_shared_page sys ~vpage:page ~home:1;
+  Tt_mem.Pagemem.write_f64 (Dirnnb.home_mem sys 1) ~vaddr:base 1.0;
+  let checkpoint = Bytes.make Addr.page_size '\000' in
+  Bytes.set_int64_le checkpoint 0 (Int64.bits_of_float 2.0);
+  let dead = ref false in
+  Dirnnb.set_is_dead sys (fun n -> !dead && n = 1);
+  Engine.at engine (sent + 200) (fun () ->
+      dead := true;
+      let net = Dirnnb.net sys in
+      Tt_net.Reliable.on_peer_death net ~node:1;
+      ignore
+        (Tt_net.Reliable.scrub_unacked net ~node:1
+           ~handler:Dirnnb.noop_handler);
+      Dirnnb.on_node_death sys ~dead:1 ~new_home:2 ~restore:(fun ~vpage ->
+          if vpage = page then Some checkpoint else None));
+  let got = ref nan and finished_at = ref 0 in
+  let _ =
+    run_cpus engine
+      [|
+        (fun th ->
+          got := Dirnnb.cpu_read_f64 sys ~node:0 th base;
+          finished_at := Thread.clock th);
+        (fun _ -> ());
+        (fun _ -> ());
+      |]
+  in
+  check_bool "stalled across the death verdict" true
+    (!finished_at > sent + 200);
+  check_int "page re-homed" 2 (Dirnnb.page_home sys ~vpage:page);
+  Alcotest.(check (float 0.0)) "value from the new home" 2.0 !got
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -257,6 +306,8 @@ let () =
             test_recall_from_remote_owner;
           Alcotest.test_case "eviction writeback" `Quick
             test_eviction_writeback_updates_directory;
+          Alcotest.test_case "read after re-home while stalled" `Quick
+            test_read_after_rehome_while_stalled;
         ] );
       ( "alloc",
         [

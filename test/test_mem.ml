@@ -220,6 +220,74 @@ let test_tlb_stale_queue_entries () =
   check_bool "2 present" true (Tlb.probe t 2);
   check_bool "3 present" true (Tlb.probe t 3)
 
+(* Reference model of the TLB, without its most-recently-used front:
+   FIFO over insertions, kept as plain lists.  A flushed key's queue slot
+   stays behind, and an eviction takes the oldest queued key that is
+   still present. *)
+type tlb_op = Access of int | Flush of int | Flush_all
+
+type tlb_model = { present : int list; order : int list (* oldest first *) }
+
+let rec model_evict present = function
+  | [] -> (present, [])
+  | v :: rest ->
+      if List.mem v present then (List.filter (( <> ) v) present, rest)
+      else model_evict present rest
+
+let model_access ~entries m k =
+  if List.mem k m.present then (m, true)
+  else
+    let present, order =
+      if List.length m.present >= entries then model_evict m.present m.order
+      else (m.present, m.order)
+    in
+    ({ present = k :: present; order = order @ [ k ] }, false)
+
+let prop_tlb_matches_fifo_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> Access k) (int_bound 7));
+          (2, map (fun k -> Flush k) (int_bound 7));
+          (1, return Flush_all);
+        ])
+  in
+  let show = function
+    | Access k -> Printf.sprintf "access %d" k
+    | Flush k -> Printf.sprintf "flush %d" k
+    | Flush_all -> "flush_all"
+  in
+  QCheck.Test.make ~name:"tlb agrees with a list FIFO model" ~count:500
+    QCheck.(
+      pair (int_range 1 4)
+        (make ~print:(Print.list show) Gen.(list_size (int_bound 60) op)))
+    (fun (entries, ops) ->
+      let t = Tlb.create ~entries ~miss_penalty:1 () in
+      let hits = ref 0 and misses = ref 0 in
+      let agree m =
+        List.for_all (fun k -> Tlb.probe t k = List.mem k m.present)
+          (List.init 8 Fun.id)
+      in
+      let step (m, ok) op =
+        let m, ok =
+          match op with
+          | Access k ->
+              let m, hit = model_access ~entries m k in
+              if hit then incr hits else incr misses;
+              (m, ok && Tlb.access t k = if hit then 0 else 1)
+          | Flush k ->
+              Tlb.flush_entry t k;
+              ({ m with present = List.filter (( <> ) k) m.present }, ok)
+          | Flush_all ->
+              Tlb.flush_all t;
+              ({ present = []; order = [] }, ok)
+        in
+        (m, ok && agree m)
+      in
+      let _, ok = List.fold_left step ({ present = []; order = [] }, true) ops in
+      ok && Tlb.hits t = !hits && Tlb.misses t = !misses)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
@@ -257,5 +325,6 @@ let () =
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "stale queue entries" `Quick
             test_tlb_stale_queue_entries;
+          qc prop_tlb_matches_fifo_model;
         ] );
     ]

@@ -2,13 +2,11 @@
    and rejects double-release (satellite of the zero-allocation PR). *)
 let () = Tt_util.Debug.set_pool_debug true
 
-(* Unit and property tests for tt_util: PRNG, heap, vector, bit set,
-   statistics, table formatting. *)
+(* Unit and property tests for tt_util: PRNG, int heap, vector, bit set,
+   statistics, table formatting, debug tracing. *)
 
 module Prng = Tt_util.Prng
-module Heap = Tt_util.Heap
 module Intheap = Tt_util.Intheap
-module Calqueue = Tt_util.Calqueue
 module Vec = Tt_util.Vec
 module Bitset = Tt_util.Bitset
 module Stats = Tt_util.Stats
@@ -107,78 +105,6 @@ let prop_prng_nonnegative =
       done;
       !ok)
 
-(* ---------------- Heap ---------------- *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare () in
-  check_bool "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "length" 6 (Heap.length h);
-  check_int "peek is min" 1 (Option.get (Heap.peek h));
-  check_int "pop order 1" 1 (Heap.pop_exn h);
-  check_int "pop order 2" 2 (Heap.pop_exn h);
-  Heap.push h 0;
-  check_int "new min" 0 (Heap.pop_exn h)
-
-let test_heap_pop_empty () =
-  let h = Heap.create ~cmp:compare () in
-  Alcotest.(check (option int)) "pop on empty" None (Heap.pop h);
-  Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let test_heap_to_sorted_list () =
-  let h = Heap.create ~cmp:compare () in
-  List.iter (Heap.push h) [ 4; 1; 3; 2 ];
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4 ] (Heap.to_sorted_list h);
-  check_int "non-destructive" 4 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:500
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap min is correct under interleaved push/pop"
-    ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := List.sort compare (v :: !model);
-            true
-          end
-          else
-            match Heap.pop h, !model with
-            | None, [] -> true
-            | Some x, m :: rest ->
-                model := rest;
-                x = m
-            | Some _, [] | None, _ :: _ -> false)
-        ops)
-
-let test_heap_capacity () =
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Heap.create: capacity must be positive") (fun () ->
-      ignore (Heap.create ~capacity:0 ~cmp:compare ()));
-  (* a tiny initial capacity still grows correctly *)
-  let h = Heap.create ~capacity:2 ~cmp:compare () in
-  for i = 9 downto 0 do
-    Heap.push h i
-  done;
-  Alcotest.(check (list int)) "order preserved across growth"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (Heap.to_sorted_list h)
-
 (* ---------------- Intheap ---------------- *)
 
 let test_intheap_basic () =
@@ -219,165 +145,27 @@ let prop_intheap_sorts =
       List.map fst got = List.sort compare keys
       && List.for_all (fun (k, v) -> k = v) got)
 
-let prop_intheap_matches_heap =
-  QCheck.Test.make ~name:"intheap agrees with the generic heap" ~count:300
+let prop_intheap_interleaved =
+  QCheck.Test.make ~name:"intheap min is correct under interleaved push/pop"
+    ~count:300
     QCheck.(list (pair bool small_int))
     (fun ops ->
-      let a = Intheap.create ~dummy:0 () in
-      let b = Heap.create ~cmp:compare () in
-      List.for_all
-        (fun (is_push, k) ->
-          if is_push then begin
-            Intheap.push a k k;
-            Heap.push b k;
-            true
-          end
-          else if Intheap.is_empty a then Heap.pop b = None
-          else Heap.pop b = Some (Intheap.pop_exn a))
-        ops)
-
-(* ---------------- Calqueue ---------------- *)
-
-let test_calqueue_basic () =
-  let q = Calqueue.create ~dummy:"" () in
-  check_bool "empty" true (Calqueue.is_empty q);
-  List.iter (fun k -> Calqueue.push q k (string_of_int k)) [ 5; 3; 8; 1 ];
-  check_int "length" 4 (Calqueue.length q);
-  check_int "min_key" 1 (Calqueue.min_key q);
-  Alcotest.(check string) "pop payload of min" "1" (Calqueue.pop_exn q);
-  Alcotest.(check string) "next" "3" (Calqueue.pop_exn q);
-  Calqueue.push q 0 "0";
-  Alcotest.(check string) "new min" "0" (Calqueue.pop_exn q);
-  Calqueue.clear q;
-  check_bool "cleared" true (Calqueue.is_empty q);
-  Alcotest.check_raises "min_key on empty"
-    (Invalid_argument "Calqueue.min_key: empty queue") (fun () ->
-      ignore (Calqueue.min_key q));
-  Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Calqueue.pop_exn: empty queue") (fun () ->
-      ignore (Calqueue.pop_exn q));
-  Alcotest.check_raises "negative key"
-    (Invalid_argument "Calqueue.push: negative key") (fun () ->
-      Calqueue.push q (-1) "x")
-
-let test_calqueue_ladder_far_future () =
-  (* near-term cluster plus events one "year" out: the far ones ride the
-     overflow ladder and still drain in exact key order *)
-  let q = Calqueue.create ~capacity:8 ~dummy:(-1) () in
-  let keys =
-    [ 3; 1_000_000_000_000; 7; 999_999_999_999; 1; 4; 1_000_000_000_001 ]
-  in
-  List.iter (fun k -> Calqueue.push q k k) keys;
-  let rec drain acc =
-    if Calqueue.is_empty q then List.rev acc
-    else begin
-      let k = Calqueue.min_key q in
-      let v = Calqueue.pop_exn q in
-      check_int "payload matches key" k v;
-      drain (k :: acc)
-    end
-  in
-  Alcotest.(check (list int)) "exact key order across the ladder"
-    (List.sort compare keys) (drain [])
-
-let test_calqueue_fifo_equal_keys () =
-  (* equal keys drain in insertion order (buckets are append-only runs) *)
-  let q = Calqueue.create ~dummy:(-1) () in
-  for i = 0 to 19 do
-    Calqueue.push q 42 i
-  done;
-  Calqueue.push q 7 100;
-  let got = ref [] in
-  while not (Calqueue.is_empty q) do
-    got := Calqueue.pop_exn q :: !got
-  done;
-  Alcotest.(check (list int)) "FIFO among equal keys"
-    (100 :: List.init 20 (fun i -> i))
-    (List.rev !got)
-
-let test_calqueue_fallback_on_duplicate_storm () =
-  (* thousands of identical keys: bucket-width estimation degenerates and
-     the queue must hand itself over to its private heap, preserving key
-     order *)
-  let q = Calqueue.create ~dummy:(-1) () in
-  for i = 0 to 4095 do
-    Calqueue.push q 1000 i
-  done;
-  check_bool "fell back" true (Calqueue.fell_back q);
-  check_int "nothing lost" 4096 (Calqueue.length q);
-  let n = ref 0 in
-  while not (Calqueue.is_empty q) do
-    check_int "all keys intact" 1000 (Calqueue.min_key q);
-    ignore (Calqueue.pop_exn q);
-    incr n
-  done;
-  check_int "drained all" 4096 !n
-
-let prop_calqueue_matches_intheap_uniform =
-  QCheck.Test.make
-    ~name:"calqueue drains the same key order as intheap (uniform keys)"
-    ~count:300
-    QCheck.(list (pair bool (int_bound 100_000)))
-    (fun ops ->
-      let q = Calqueue.create ~dummy:0 () in
       let h = Intheap.create ~dummy:0 () in
+      let model = ref [] in
       List.for_all
         (fun (is_push, k) ->
           if is_push then begin
-            Calqueue.push q k k;
             Intheap.push h k k;
+            model := List.sort compare (k :: !model);
             true
           end
-          else if Intheap.is_empty h then Calqueue.is_empty q
-          else begin
-            let mk = Intheap.min_key h in
-            ignore (Intheap.pop_exn h);
-            (not (Calqueue.is_empty q))
-            && Calqueue.min_key q = mk
-            && Calqueue.pop_exn q = mk
-          end)
-        ops
-      && Calqueue.length q = Intheap.length h)
-
-let prop_calqueue_matches_intheap_clustered =
-  (* engine-like keys: (time lsl 20) lor seq, times clustered near a
-     monotonically advancing now with occasional far-future jumps — the
-     distribution the calendar queue is built for, including the ladder *)
-  QCheck.Test.make
-    ~name:"calqueue drains the same key order as intheap (clustered keys)"
-    ~count:150
-    QCheck.(list (pair (int_bound 300) (int_bound 9)))
-    (fun steps ->
-      let q = Calqueue.create ~wshift:20 ~dummy:0 () in
-      let h = Intheap.create ~dummy:0 () in
-      let now = ref 0 and seq = ref 0 and ok = ref true in
-      List.iter
-        (fun (dt, burst) ->
-          (* push a small burst clustered at now+dt, rarely a year out *)
-          let time = !now + if dt = 300 then 5_000_000 else dt in
-          for _ = 0 to burst do
-            let key = (time lsl 20) lor (!seq land 0xFFFFF) in
-            incr seq;
-            Calqueue.push q key key;
-            Intheap.push h key key
-          done;
-          (* drain roughly half the queue, advancing now *)
-          for _ = 0 to burst / 2 do
-            if not (Intheap.is_empty h) then begin
-              let mk = Intheap.min_key h in
-              ignore (Intheap.pop_exn h);
-              if Calqueue.is_empty q || Calqueue.pop_exn q <> mk then
-                ok := false
-              else now := max !now (mk asr 20)
-            end
-          done)
-        steps;
-      while not (Intheap.is_empty h) do
-        let mk = Intheap.min_key h in
-        ignore (Intheap.pop_exn h);
-        if Calqueue.is_empty q || Calqueue.pop_exn q <> mk then ok := false
-      done;
-      !ok && Calqueue.is_empty q)
+          else
+            match !model with
+            | [] -> Intheap.is_empty h
+            | m :: rest ->
+                model := rest;
+                Intheap.min_key h = m && Intheap.pop_exn h = m)
+        ops)
 
 (* ---------------- Vec ---------------- *)
 
@@ -616,32 +404,11 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           qc prop_prng_nonnegative;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
-          Alcotest.test_case "to_sorted_list" `Quick test_heap_to_sorted_list;
-          Alcotest.test_case "capacity" `Quick test_heap_capacity;
-          qc prop_heap_sorts;
-          qc prop_heap_interleaved;
-        ] );
       ( "intheap",
         [
           Alcotest.test_case "basic" `Quick test_intheap_basic;
           qc prop_intheap_sorts;
-          qc prop_intheap_matches_heap;
-        ] );
-      ( "calqueue",
-        [
-          Alcotest.test_case "basic" `Quick test_calqueue_basic;
-          Alcotest.test_case "ladder far future" `Quick
-            test_calqueue_ladder_far_future;
-          Alcotest.test_case "FIFO equal keys" `Quick
-            test_calqueue_fifo_equal_keys;
-          Alcotest.test_case "duplicate-storm fallback" `Quick
-            test_calqueue_fallback_on_duplicate_storm;
-          qc prop_calqueue_matches_intheap_uniform;
-          qc prop_calqueue_matches_intheap_clustered;
+          qc prop_intheap_interleaved;
         ] );
       ( "vec",
         [
