@@ -145,8 +145,70 @@ let prop_intheap_sorts =
       List.map fst got = List.sort compare keys
       && List.for_all (fun (k, v) -> k = v) got)
 
-let prop_intheap_interleaved =
-  QCheck.Test.make ~name:"intheap min is correct under interleaved push/pop"
+(* ---------------- Heap behaviour ----------------
+
+   Intheap is the simulator's only priority queue (it backs the engine), so
+   these check it as a heap in general: ordering across growth, repeated
+   keys, emptiness errors and interleaved push/pop. *)
+
+let test_heap_basic () =
+  let h = Intheap.create ~dummy:(-1) () in
+  List.iter (fun k -> Intheap.push h k (k * 10)) [ 5; 3; 8; 1; 9; 2 ];
+  check_int "length" 6 (Intheap.length h);
+  check_int "min_key is min" 1 (Intheap.min_key h);
+  check_int "pop order 1" 10 (Intheap.pop_exn h);
+  check_int "pop order 2" 20 (Intheap.pop_exn h);
+  Intheap.push h 0 0;
+  check_int "new min" 0 (Intheap.pop_exn h);
+  let rest = List.init (Intheap.length h) (fun _ -> Intheap.pop_exn h) in
+  Alcotest.(check (list int)) "remaining drain in order" [ 30; 50; 80; 90 ] rest
+
+let test_heap_pop_empty () =
+  let h = Intheap.create ~dummy:0 () in
+  Alcotest.check_raises "pop_exn on a fresh heap"
+    (Invalid_argument "Intheap.pop_exn: empty heap") (fun () ->
+      ignore (Intheap.pop_exn h));
+  Intheap.push h 4 4;
+  check_int "the only element" 4 (Intheap.pop_exn h);
+  check_bool "drained" true (Intheap.is_empty h);
+  Alcotest.check_raises "pop_exn once drained"
+    (Invalid_argument "Intheap.pop_exn: empty heap") (fun () ->
+      ignore (Intheap.pop_exn h));
+  (* a drained heap is reusable *)
+  Intheap.push h 2 2;
+  check_int "reused" 2 (Intheap.pop_exn h)
+
+let test_heap_capacity () =
+  (* non-positive capacities are clamped, and a tiny initial capacity
+     still grows correctly *)
+  List.iter
+    (fun capacity ->
+      let h = Intheap.create ~capacity ~dummy:(-1) () in
+      for i = 9 downto 0 do
+        Intheap.push h i i
+      done;
+      check_int "length after growth" 10 (Intheap.length h);
+      Alcotest.(check (list int))
+        (Printf.sprintf "order preserved across growth (capacity %d)" capacity)
+        [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+        (List.init 10 (fun _ -> Intheap.pop_exn h)))
+    [ -3; 0; 1; 2 ]
+
+let prop_heap_sorts =
+  (* small keys force many repeats: every payload must come out exactly
+     once, keyed order non-decreasing *)
+  QCheck.Test.make ~name:"heap pops in sorted order" ~count:500
+    QCheck.(list small_int)
+    (fun keys ->
+      let h = Intheap.create ~capacity:1 ~dummy:(-1, -1) () in
+      List.iteri (fun i k -> Intheap.push h k (k, i)) keys;
+      let got = List.init (Intheap.length h) (fun _ -> Intheap.pop_exn h) in
+      List.map fst got = List.sort compare keys
+      && List.sort compare (List.map snd got)
+         = List.init (List.length keys) Fun.id)
+
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"heap min is correct under interleaved push/pop"
     ~count:300
     QCheck.(list (pair bool small_int))
     (fun ops ->
@@ -404,11 +466,18 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           qc prop_prng_nonnegative;
         ] );
+      ( "heap",
+        [
+          Alcotest.test_case "basic order" `Quick test_heap_basic;
+          Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
+          Alcotest.test_case "capacity" `Quick test_heap_capacity;
+          qc prop_heap_sorts;
+          qc prop_heap_interleaved;
+        ] );
       ( "intheap",
         [
           Alcotest.test_case "basic" `Quick test_intheap_basic;
           qc prop_intheap_sorts;
-          qc prop_intheap_interleaved;
         ] );
       ( "vec",
         [
