@@ -288,6 +288,116 @@ let test_read_after_rehome_while_stalled () =
   check_int "page re-homed" 2 (Dirnnb.page_home sys ~vpage:page);
   Alcotest.(check (float 0.0)) "value from the new home" 2.0 !got
 
+(* Audit mutation tests: after a clean run, plant one violation of each
+   [check_invariants] clause straight into directory or cache state and
+   expect that clause's message.  Node 1 owns block [b0] and node 2 read
+   [b0 + 1]; the planted block [pb] is one nobody touched. *)
+let b0 = Addr.block_of base
+
+let pb = b0 + 10
+
+let audited_clean () =
+  let engine, sys = mk ~nodes:3 () in
+  Dirnnb.map_shared_page sys ~vpage:page ~home:0;
+  let _ =
+    run_cpus engine
+      [|
+        (fun _ -> ());
+        (fun th -> Dirnnb.cpu_write_f64 sys ~node:1 th base 1.0);
+        (fun th ->
+          ignore (Dirnnb.cpu_read_f64 sys ~node:2 th (base + Addr.block_size)));
+      |]
+  in
+  (match Dirnnb.check_invariants sys with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("clean run: " ^ msg));
+  sys
+
+let expect_violation sys msg =
+  Alcotest.(check (result unit string)) "audit verdict" (Error msg)
+    (Dirnnb.check_invariants sys)
+
+let planted_entry sys = Directory.entry (Dirnnb.directory sys 0) ~block:pb
+
+let cache_line sys node block state =
+  ignore (Tt_cache.Cache.insert (Dirnnb.cpu_cache sys node) ~block ~state)
+
+let test_audit_pending () =
+  let sys = audited_clean () in
+  (planted_entry sys).Directory.busy <-
+    Some { Directory.kind = Directory.Read; requester = 1; acks_left = 0 };
+  expect_violation sys
+    (Printf.sprintf "home 0 block 0x%x: transaction left pending" pb)
+
+let test_audit_waiters () =
+  let sys = audited_clean () in
+  Queue.add (Directory.Read, 2) (planted_entry sys).Directory.waiting;
+  expect_violation sys
+    (Printf.sprintf "home 0 block 0x%x: waiters left queued" pb)
+
+let test_audit_owner_sharer () =
+  let sys = audited_clean () in
+  let e = planted_entry sys in
+  e.Directory.owner <- Some 1;
+  Bitset.add e.Directory.sharers 1;
+  expect_violation sys
+    (Printf.sprintf "home 0 block 0x%x: owner 1 also listed as sharer" pb)
+
+let test_audit_owner_and_sharers () =
+  let sys = audited_clean () in
+  let e = planted_entry sys in
+  e.Directory.owner <- Some 1;
+  Bitset.add e.Directory.sharers 2;
+  expect_violation sys
+    (Printf.sprintf "home 0 block 0x%x: owner and sharers coexist" pb)
+
+let test_audit_exclusive_unowned () =
+  let sys = audited_clean () in
+  cache_line sys 2 pb Tt_cache.Cache.Exclusive;
+  expect_violation sys
+    (Printf.sprintf "block 0x%x cached exclusive at 2 but unowned" pb)
+
+let test_audit_exclusive_owned_elsewhere () =
+  let sys = audited_clean () in
+  (planted_entry sys).Directory.owner <- Some 1;
+  cache_line sys 2 pb Tt_cache.Cache.Exclusive;
+  expect_violation sys
+    (Printf.sprintf "block 0x%x cached exclusive at 2 but owned by 1" pb)
+
+(* Blocks of a page with no home skip the per-home clauses, so the
+   machine-wide copy audit is the one that speaks. *)
+let test_audit_two_exclusive () =
+  let sys = audited_clean () in
+  let stray = Addr.block_of ((page + 5) * Addr.page_size) in
+  cache_line sys 1 stray Tt_cache.Cache.Exclusive;
+  cache_line sys 2 stray Tt_cache.Cache.Exclusive;
+  expect_violation sys
+    (Printf.sprintf "block 0x%x: multiple exclusive copies (2, 1)" stray)
+
+let test_audit_exclusive_plus_copy () =
+  let sys = audited_clean () in
+  (planted_entry sys).Directory.owner <- Some 1;
+  cache_line sys 1 pb Tt_cache.Cache.Exclusive;
+  cache_line sys 0 pb Tt_cache.Cache.Shared;
+  cache_line sys 2 pb Tt_cache.Cache.Shared;
+  expect_violation sys
+    (Printf.sprintf "block 0x%x: exclusive at 1 but also cached at 2, 0" pb)
+
+let test_audit_shared_not_sharer () =
+  let sys = audited_clean () in
+  ignore (planted_entry sys);
+  cache_line sys 2 pb Tt_cache.Cache.Shared;
+  expect_violation sys
+    (Printf.sprintf
+       "block 0x%x: cached shared at 2 but absent from home 0's sharer set" pb)
+
+let test_audit_shared_no_entry () =
+  let sys = audited_clean () in
+  cache_line sys 2 pb Tt_cache.Cache.Shared;
+  expect_violation sys
+    (Printf.sprintf
+       "block 0x%x: cached shared at 2 but home 0 has no directory entry" pb)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -313,6 +423,27 @@ let () =
         [
           Alcotest.test_case "round robin" `Quick test_alloc_round_robin;
           Alcotest.test_case "pinned home" `Quick test_alloc_pinned_home;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "pending transaction" `Quick test_audit_pending;
+          Alcotest.test_case "queued waiters" `Quick test_audit_waiters;
+          Alcotest.test_case "owner also a sharer" `Quick
+            test_audit_owner_sharer;
+          Alcotest.test_case "owner and sharers" `Quick
+            test_audit_owner_and_sharers;
+          Alcotest.test_case "exclusive copy unowned" `Quick
+            test_audit_exclusive_unowned;
+          Alcotest.test_case "exclusive copy owned elsewhere" `Quick
+            test_audit_exclusive_owned_elsewhere;
+          Alcotest.test_case "two exclusive copies" `Quick
+            test_audit_two_exclusive;
+          Alcotest.test_case "exclusive plus another copy" `Quick
+            test_audit_exclusive_plus_copy;
+          Alcotest.test_case "shared copy not a sharer" `Quick
+            test_audit_shared_not_sharer;
+          Alcotest.test_case "shared copy without entry" `Quick
+            test_audit_shared_no_entry;
         ] );
       ("random", [ qc prop_random_program ]);
     ]

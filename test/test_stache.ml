@@ -397,6 +397,119 @@ let prop_random_coherence =
       && Stache.check_invariants st = Ok ()
       && final = expect)
 
+(* Audit mutation tests: after a clean run, plant one violation of each
+   [check_invariants] clause straight into tag or directory state and
+   expect that clause's message.  In the clean run (home 0) nodes 1 and 2
+   share block [va], node 3 owns [va + 32], and [va + 64] is Idle. *)
+let audited_clean () =
+  let engine, sys, st = mk () in
+  let va = ref 0 in
+  run_cpus engine
+    [|
+      (fun th ->
+        va := Stache.alloc st ~th ~node:0 ~home:0 ~bytes:Addr.page_size ();
+        System.cpu_write_f64 sys ~node:0 th !va 1.0;
+        Thread.yield th);
+      (fun th ->
+        Thread.advance th 2000;
+        Thread.yield th;
+        ignore (System.cpu_read_f64 sys ~node:1 th !va));
+      (fun th ->
+        Thread.advance th 2000;
+        Thread.yield th;
+        ignore (System.cpu_read_f64 sys ~node:2 th !va));
+      (fun th ->
+        Thread.advance th 2000;
+        Thread.yield th;
+        System.cpu_write_f64 sys ~node:3 th (!va + Addr.block_size) 2.0);
+    |];
+  (match Stache.check_invariants st with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("clean run: " ^ msg));
+  (sys, st, !va)
+
+let expect_violation st msg =
+  Alcotest.(check (result unit string)) "audit verdict" (Error msg)
+    (Stache.check_invariants st)
+
+let set_tag sys node vaddr tag =
+  Tt_mem.Pagemem.set_tag (System.node_mem sys node) ~vaddr tag
+
+let home_block sys vaddr =
+  let page =
+    Tt_mem.Pagemem.get_page (System.node_mem sys 0) ~vpage:(Addr.page_of vaddr)
+  in
+  match page.Tt_mem.Pagemem.user with
+  | Tt_stache.Dir.Home_dir d -> d.(Addr.block_index vaddr)
+  | _ -> Alcotest.fail "home page without directory"
+
+let test_audit_pending () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  (home_block sys idle).Tt_stache.Dir.pending <-
+    Some
+      { Tt_stache.Dir.client = Tt_stache.Dir.Remote (1, `Ro); acks_left = 0;
+        prev_owner = None };
+  expect_violation st
+    (Printf.sprintf "block 0x%x: pending transaction at quiescence" idle)
+
+let test_audit_waiters () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  Queue.add (Tt_stache.Dir.Remote (2, `Rw))
+    (home_block sys idle).Tt_stache.Dir.waiters;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: queued waiters at quiescence" idle)
+
+let test_audit_stuck_busy () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  set_tag sys 1 idle Tag.Busy;
+  expect_violation st (Printf.sprintf "block 0x%x: node 1 stuck Busy" idle)
+
+let test_audit_two_writers () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  set_tag sys 1 idle Tag.Read_write;
+  set_tag sys 2 idle Tag.Read_write;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: writable copies at multiple nodes (0, 1, 2)"
+       idle)
+
+let test_audit_ro_not_sharer () =
+  let sys, st, va = audited_clean () in
+  set_tag sys 3 va Tag.Read_only;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: node 3 has RO copy but is not a sharer" va)
+
+let test_audit_ro_in_idle () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  set_tag sys 2 idle Tag.Read_only;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: node 2 has RO copy in state Idle" idle)
+
+let test_audit_rw_not_owner () =
+  let sys, st, va = audited_clean () in
+  set_tag sys 1 va Tag.Read_write;
+  expect_violation st
+    (Printf.sprintf
+       "block 0x%x: node 1 has RW copy but is not the registered owner" va)
+
+let test_audit_home_tag () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  set_tag sys 0 idle Tag.Read_only;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: Idle but home tag ReadOnly" idle)
+
+let test_audit_owner_without_rw () =
+  let sys, st, va = audited_clean () in
+  let owned = va + Addr.block_size in
+  set_tag sys 3 owned Tag.Invalid;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: owner 3 does not hold a RW copy" owned)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "stache"
@@ -429,6 +542,24 @@ let () =
             test_message_count_for_clean_fetch;
           Alcotest.test_case "recall races page replacement" `Quick
             test_recall_races_page_replacement;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "pending transaction" `Quick test_audit_pending;
+          Alcotest.test_case "queued waiters" `Quick test_audit_waiters;
+          Alcotest.test_case "node stuck Busy" `Quick test_audit_stuck_busy;
+          Alcotest.test_case "two writable copies" `Quick
+            test_audit_two_writers;
+          Alcotest.test_case "read-only copy at a non-sharer" `Quick
+            test_audit_ro_not_sharer;
+          Alcotest.test_case "read-only copy of an Idle block" `Quick
+            test_audit_ro_in_idle;
+          Alcotest.test_case "writable copy at a non-owner" `Quick
+            test_audit_rw_not_owner;
+          Alcotest.test_case "home tag against directory state" `Quick
+            test_audit_home_tag;
+          Alcotest.test_case "owner without a writable copy" `Quick
+            test_audit_owner_without_rw;
         ] );
       ("random", [ qc prop_random_coherence ]);
     ]
