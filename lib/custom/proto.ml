@@ -10,6 +10,7 @@ module Pagemem = Tt_mem.Pagemem
 module Message = Tt_net.Message
 module Stats = Tt_util.Stats
 module Vec = Tt_util.Vec
+module Inttbl = Tt_util.Inttbl
 
 (* Scratch argument builders (same discipline as Stache's): the endpoint
    copies args into a pooled message before returning, so no array literal
@@ -43,15 +44,15 @@ module Pages = struct
   type t = {
     sys : System.t;
     stache : Stache.t;
-    table : (int, int) Hashtbl.t; (* vpage -> id *)
+    table : int Inttbl.t; (* vpage -> id *)
   }
 
-  let create sys stache = { sys; stache; table = Hashtbl.create 1024 }
+  let create sys stache = { sys; stache; table = Inttbl.create 1024 }
 
-  let registered t ~vpage = Hashtbl.mem t.table vpage
+  let registered t ~vpage = Inttbl.mem t.table vpage
 
   let id_of t ~what vaddr =
-    match Hashtbl.find_opt t.table (Addr.page_of vaddr) with
+    match Inttbl.find_opt t.table (Addr.page_of vaddr) with
     | Some k -> k
     | None ->
         invalid_arg
@@ -70,7 +71,7 @@ module Pages = struct
     let ep = System.endpoint t.sys home_node in
     System.with_cpu_context t.sys ~node th (fun () ->
         for vpage = first to last do
-          Hashtbl.replace t.table vpage id;
+          Inttbl.replace t.table vpage id;
           (* retype the freshly created home page *)
           ep.Tempest.set_page_mode ~vpage ~mode:home_mode
         done);
@@ -88,7 +89,7 @@ module Pages = struct
     in
     Tempest.Handlers.set_page_fault tables (fun ep ~vaddr access resumption ->
         let vpage = Addr.page_of vaddr in
-        if Hashtbl.mem t.table vpage then begin
+        if Inttbl.mem t.table vpage then begin
           ep.Tempest.charge 10;
           ep.Tempest.map_page ~vpage
             ~home:(Stache.home_of t.stache ~vaddr)
@@ -671,8 +672,6 @@ let set_page_pol t ~vpage pol =
   Tt_mem.Tlb.flush_entry (System.cpu_tlb t.sys home) vpage;
   if pol = Stachelike then Hashtbl.remove t.page_pol vpage
   else Hashtbl.replace t.page_pol vpage pol
-
-let iter_pages t f = Hashtbl.iter (fun vpage pol -> f ~vpage pol) t.page_pol
 
 (* Adopt every page of a fresh allocation under [pol] (zoo machines route
    all application allocations here). *)

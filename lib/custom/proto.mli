@@ -75,10 +75,6 @@ val set_page_pol : t -> vpage:int -> pol -> unit
 
 val pol_of_page : t -> vpage:int -> pol
 
-val iter_pages : t -> (vpage:int -> pol -> unit) -> unit
-(** Iterate the pages currently holding a non-default policy (order
-    unspecified — sort before depending on it). *)
-
 val page_quiescent : t -> vpage:int -> bool
 (** Safe-switch probe: the page is mapped at its home and no block is
     mid-transaction, has queued waiters, or carries un-flushed zoo state. *)

@@ -34,5 +34,7 @@ val find : t -> block:int -> entry option
 (** Like {!entry} but without creating (for invariant checks). *)
 
 val iter : t -> (int -> entry -> unit) -> unit
+(** Visit every entry, in unspecified order: sort by block before letting
+    the order reach simulated behaviour. *)
 
 val nodes : t -> int

@@ -10,6 +10,7 @@ module Fabric = Tt_net.Fabric
 module Reliable = Tt_net.Reliable
 module Stats = Tt_util.Stats
 module Bitset = Tt_util.Bitset
+module Inttbl = Tt_util.Inttbl
 
 (* Per-block protocol trace (TT_DEBUG_BLOCK = global block number). *)
 let dbg block fmt = Tt_util.Debug.log ~key:block fmt
@@ -136,14 +137,14 @@ type node = {
   c_recalls : Stats.counter;
   (* blocks with an outstanding miss: wake the CPU, passing the replacement
      cycles the fill incurred *)
-  pending : (int, int -> unit) Hashtbl.t;
+  pending : (int -> unit) Inttbl.t;
   (* which request handler each outstanding miss used, so crash recovery
      can re-issue a request whose home (or response) died with a node *)
-  pending_kind : (int, int) Hashtbl.t;
+  pending_kind : int Inttbl.t;
   (* writebacks of ours the home has not yet processed; the CPU must not
      take the directory fast path for such a block or a stale writeback
      would clear ownership it just re-acquired *)
-  wb_inflight : (int, int) Hashtbl.t;
+  wb_inflight : int Inttbl.t;
 }
 
 type t = {
@@ -152,7 +153,7 @@ type t = {
   fabric : Fabric.t;
   net : Reliable.t;
   nodes : node array;
-  homes : (int, int) Hashtbl.t; (* vpage -> home node *)
+  homes : int Inttbl.t; (* vpage -> home node *)
   mutable alloc_cursor : int;
   mutable next_home : int;
   (* crash-stop recovery: the liveness verdict, and the write observer for
@@ -181,15 +182,15 @@ let directory t i = t.nodes.(i).dir
 let node_stats t i = t.nodes.(i).stats
 
 let page_home t ~vpage =
-  match Hashtbl.find t.homes vpage with
+  match Inttbl.find t.homes vpage with
   | h -> h
   | exception Not_found ->
       invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x is not allocated" vpage)
 
 let map_shared_page t ~vpage ~home =
-  if Hashtbl.mem t.homes vpage then
+  if Inttbl.mem t.homes vpage then
     invalid_arg (Printf.sprintf "Dirnnb: vpage 0x%x already allocated" vpage);
-  Hashtbl.replace t.homes vpage home;
+  Inttbl.replace t.homes vpage home;
   ignore
     (Pagemem.map t.nodes.(home).mem ~vpage ~home ~mode:0
        ~init_tag:Tag.Read_write)
@@ -221,8 +222,8 @@ let send2 t ~src ~at ~dst ~vnet ~handler ~with_data a0 a1 =
 let writeback t node ~at block =
   dbg block "t=%d writeback from node=%d" at node.id;
   Stats.Counter.incr node.c_writebacks;
-  Hashtbl.replace node.wb_inflight block
-    (1 + Option.value ~default:0 (Hashtbl.find_opt node.wb_inflight block));
+  Inttbl.replace node.wb_inflight block
+    (1 + Option.value ~default:0 (Inttbl.find_opt node.wb_inflight block));
   let home = page_home t ~vpage:(block * Addr.block_size / Addr.page_size) in
   send1 t ~src:node.id ~at ~dst:home ~vnet:Message.Request
     ~handler:h_writeback ~with_data:true block
@@ -260,10 +261,10 @@ let deliver_grant t home ~requester block grant =
   Ctrl.charge ctrl
     (p.Params.dir_per_msg + if with_data then p.Params.dir_block_send else 0);
   if requester = home.id then begin
-    match Hashtbl.find_opt home.pending block with
+    match Inttbl.find_opt home.pending block with
     | Some wake ->
-        Hashtbl.remove home.pending block;
-        Hashtbl.remove home.pending_kind block;
+        Inttbl.remove home.pending block;
+        Inttbl.remove home.pending_kind block;
         let repl = ctrl_fill t home block grant in
         wake repl
     | None ->
@@ -552,9 +553,9 @@ let ctrl_exec t node msg =
   else if handler = h_writeback then begin
     Ctrl.charge ctrl (p.Params.dir_op + p.Params.dir_block_recv);
     let src_node = t.nodes.(msg.Message.src) in
-    (match Hashtbl.find_opt src_node.wb_inflight block with
-    | Some 1 -> Hashtbl.remove src_node.wb_inflight block
-    | Some n -> Hashtbl.replace src_node.wb_inflight block (n - 1)
+    (match Inttbl.find_opt src_node.wb_inflight block with
+    | Some 1 -> Inttbl.remove src_node.wb_inflight block
+    | Some n -> Inttbl.replace src_node.wb_inflight block (n - 1)
     | None -> ());
     let entry = Directory.entry node.dir ~block in
     match entry.Directory.owner with
@@ -567,10 +568,10 @@ let ctrl_exec t node msg =
        subsequent invalidate or recall can never slip between grant and
        fill. *)
     Ctrl.charge ctrl 1;
-    match Hashtbl.find_opt node.pending block with
+    match Inttbl.find_opt node.pending block with
     | Some wake ->
-        Hashtbl.remove node.pending block;
-        Hashtbl.remove node.pending_kind block;
+        Inttbl.remove node.pending block;
+        Inttbl.remove node.pending_kind block;
         let grant =
           if handler = h_upgrade_ok then grant_upgrade
           else if args.(1) = 1 then grant_exclusive
@@ -624,13 +625,13 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
           c_invals_received = Stats.counter stats "invals_received";
           c_writebacks = Stats.counter stats "writebacks";
           c_recalls = Stats.counter stats "recalls";
-          pending = Hashtbl.create 4;
-          pending_kind = Hashtbl.create 4;
-          wb_inflight = Hashtbl.create 4;
+          pending = Inttbl.create 4;
+          pending_kind = Inttbl.create 4;
+          wb_inflight = Inttbl.create 4;
         })
   in
   let t =
-    { engine; params = p; fabric; net; nodes; homes = Hashtbl.create 4096;
+    { engine; params = p; fabric; net; nodes; homes = Inttbl.create 4096;
       alloc_cursor = 0x1000_0000; next_home = 0;
       is_dead = (fun _ -> false); on_dirty = None }
   in
@@ -651,14 +652,14 @@ let alloc t ~th ~node ?home ?(align = 8) ~bytes () =
   let round_up v a = (v + a - 1) land lnot (a - 1) in
   let start = round_up t.alloc_cursor align in
   let start =
-    match home, Hashtbl.find_opt t.homes (Addr.page_of start) with
+    match home, Inttbl.find_opt t.homes (Addr.page_of start) with
     | Some h, Some existing when existing <> h ->
         round_up start Addr.page_size
     | (Some _ | None), _ -> start
   in
   let first = Addr.page_of start and last = Addr.page_of (start + bytes - 1) in
   for vpage = first to last do
-    if not (Hashtbl.mem t.homes vpage) then begin
+    if not (Inttbl.mem t.homes vpage) then begin
       let h =
         match home with
         | Some h -> h
@@ -709,11 +710,11 @@ let miss_via_directory t node th ~home ~handler block =
   in
   let repl =
     Thread.await th (fun wake ->
-        Hashtbl.replace node.pending block (fun repl ->
+        Inttbl.replace node.pending block (fun repl ->
             Thread.set_clock th
               (max (Thread.clock th) node.ctrl.Ctrl.clock);
             wake repl);
-        Hashtbl.replace node.pending_kind block handler;
+        Inttbl.replace node.pending_kind block handler;
         Reliable.send t.net ~at:(Thread.clock th) msg)
   in
   Thread.advance th
@@ -724,7 +725,7 @@ let miss_via_directory t node th ~home ~handler block =
 (* The local fast paths need the directory entry idle and no writeback of
    ours still travelling to the home. *)
 let entry_free n block (entry : Directory.entry) =
-  entry.Directory.busy = None && not (Hashtbl.mem n.wb_inflight block)
+  entry.Directory.busy = None && not (Inttbl.mem n.wb_inflight block)
 
 (* A store to a shared line ([cached] is [Some _]) or a cache miss: take
    the local directory fast path or go through the home's controller. *)
@@ -737,11 +738,9 @@ let cpu_miss t n th access ~home_id block cached =
       (* upgrade *)
       Stats.Counter.incr n.c_upgrades;
       let entry = Directory.entry home.dir ~block in
-      let others =
-        List.filter (fun s -> s <> node) (Bitset.to_list entry.Directory.sharers)
-      in
       if
-        local && entry_free n block entry && others = []
+        local && entry_free n block entry
+        && (not (Bitset.mem_other entry.Directory.sharers node))
         && entry.Directory.owner = None
         && not entry.Directory.overflowed
       then begin
@@ -765,13 +764,10 @@ let cpu_miss t n th access ~home_id block cached =
             dbg block "t=%d cpu%d fastpath-load" (Thread.clock th) node;
             Stats.Counter.incr n.c_local_misses;
             Thread.advance th t.params.Params.local_miss;
-            let others =
-              List.filter (fun s -> s <> node)
-                (Bitset.to_list entry.Directory.sharers)
-            in
             let state =
               if
-                others = [] && entry.Directory.owner = None
+                (not (Bitset.mem_other entry.Directory.sharers node))
+                && entry.Directory.owner = None
                 && not entry.Directory.overflowed
               then Cache.Exclusive
               else Cache.Shared
@@ -785,12 +781,9 @@ let cpu_miss t n th access ~home_id block cached =
           end
           else miss_via_directory t n th ~home:home_id ~handler:h_read block
       | Tag.Store ->
-          let others =
-            List.filter (fun s -> s <> node)
-              (Bitset.to_list entry.Directory.sharers)
-          in
           let conflict =
-            others <> [] || entry.Directory.overflowed
+            Bitset.mem_other entry.Directory.sharers node
+            || entry.Directory.overflowed
             ||
             match entry.Directory.owner with
             | Some o -> o <> node
@@ -863,7 +856,7 @@ let noop_handler = h_noop
    only fails for unallocated pages.  Zero simulated cost — the
    checkpoint copy is modeled as overlapped with the barrier. *)
 let snapshot_page t ~vpage =
-  match Hashtbl.find_opt t.homes vpage with
+  match Inttbl.find_opt t.homes vpage with
   | None -> None
   | Some home -> (
       match Pagemem.find_page t.nodes.(home).mem ~vpage with
@@ -904,16 +897,16 @@ let on_node_death t ~dead ~new_home ~restore =
   List.iter
     (fun block -> ignore (Cache.invalidate deadn.cache ~block))
     (List.sort compare !dead_blocks);
-  Hashtbl.reset deadn.wb_inflight;
+  Inttbl.reset deadn.wb_inflight;
 
   (* --- re-home pages homed on the victim ---------------------------- *)
   let dead_pages =
     List.sort compare
-      (Hashtbl.fold
+      (Inttbl.fold
          (fun vpage home acc -> if home = dead then vpage :: acc else acc)
          t.homes [])
   in
-  let rehomed = Hashtbl.create 16 in
+  let rehomed = Inttbl.create 16 in
   List.iter
     (fun vpage ->
       (match restore ~vpage with
@@ -933,8 +926,8 @@ let on_node_death t ~dead ~new_home ~restore =
           Stats.add t.nodes.(new_home).stats "recovery.blocks_restored"
             Addr.blocks_per_page);
       Pagemem.unmap deadn.mem ~vpage;
-      Hashtbl.replace t.homes vpage new_home;
-      Hashtbl.replace rehomed vpage ();
+      Inttbl.replace t.homes vpage new_home;
+      Inttbl.replace rehomed vpage ();
       Stats.incr t.nodes.(new_home).stats "recovery.pages_rehomed";
       (* rebuild the directory from the survivors' cache states — the
          user-level equivalent of polling every live node for its copies.
@@ -1021,12 +1014,12 @@ let on_node_death t ~dead ~new_home ~restore =
         List.iter
           (fun (block, handler) ->
             if
-              Hashtbl.mem rehomed (block * Addr.block_size / Addr.page_size)
+              Inttbl.mem rehomed (block * Addr.block_size / Addr.page_size)
             then
               send1 t ~src:n.id ~at:now ~dst:new_home ~vnet:Message.Request
                 ~handler ~with_data:false block)
           (List.sort compare
-             (Hashtbl.fold
+             (Inttbl.fold
                 (fun block handler acc -> (block, handler) :: acc)
                 n.pending_kind [])))
     t.nodes
@@ -1037,7 +1030,7 @@ let on_node_death t ~dead ~new_home ~restore =
    to the block's current home and let the pending wake fire normally. *)
 let on_node_rejoin t ~node =
   let n = t.nodes.(node) in
-  Hashtbl.reset n.wb_inflight;
+  Inttbl.reset n.wb_inflight;
   n.ctrl.Ctrl.clock <- max n.ctrl.Ctrl.clock (Engine.now t.engine);
   let now = Engine.now t.engine in
   List.iter
@@ -1048,7 +1041,7 @@ let on_node_rejoin t ~node =
       send1 t ~src:node ~at:now ~dst:home ~vnet:Message.Request ~handler
         ~with_data:false block)
     (List.sort compare
-       (Hashtbl.fold
+       (Inttbl.fold
           (fun block handler acc -> (block, handler) :: acc)
           n.pending_kind []))
 
@@ -1077,105 +1070,135 @@ let merged_stats t =
   | None -> ());
   out
 
+(* The audit at quiescence.  Of several violations it reports the one at
+   the lowest block, and within a block the first in clause order:
+   directory state, exclusive copies against their home, the machine-wide
+   copy count, shared copies against their home.  Each cache is swept
+   once.  Per page with a cached line the sweep keeps the page's home
+   ([-1] if none) and, per block, one byte summarising its copies: holders
+   in the low nibble and exclusive holders in the high one, each saturating
+   at 15.  The holder lists a message needs are rebuilt only for a failing
+   block. *)
+let count_copy summary state =
+  let holders = min 15 ((summary land 15) + 1)
+  and exclusive =
+    min 15 ((summary lsr 4) + if state = Cache.Exclusive then 1 else 0)
+  in
+  holders lor (exclusive lsl 4)
+
+(* Nodes whose cache holds [block] (only exclusively, if [excl]), highest
+   node first. *)
+let holders t ~excl block =
+  Array.fold_left
+    (fun acc node ->
+      match Cache.probe node.cache ~block with
+      | Some Cache.Exclusive -> node.id :: acc
+      | Some Cache.Shared when not excl -> node.id :: acc
+      | Some Cache.Shared | None -> acc)
+    [] t.nodes
+
 let check_invariants t =
   let problem = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt in
+  let fail block clause fmt =
+    Printf.ksprintf
+      (fun s ->
+        match !problem with
+        | Some (b, c, _) when b < block || (b = block && c <= clause) -> ()
+        | Some _ | None -> problem := Some (block, clause, s))
+      fmt
+  in
   Array.iter
     (fun home ->
       Directory.iter home.dir (fun block entry ->
           (match entry.Directory.busy with
-          | Some _ -> fail "home %d block 0x%x: transaction left pending" home.id block
+          | Some _ ->
+              fail block 0 "home %d block 0x%x: transaction left pending"
+                home.id block
           | None -> ());
           if not (Queue.is_empty entry.Directory.waiting) then
-            fail "home %d block 0x%x: waiters left queued" home.id block;
+            fail block 0 "home %d block 0x%x: waiters left queued" home.id
+              block;
           match entry.Directory.owner with
           | Some o ->
               if Bitset.mem entry.Directory.sharers o then
-                fail "home %d block 0x%x: owner %d also listed as sharer"
-                  home.id block o;
+                fail block 0
+                  "home %d block 0x%x: owner %d also listed as sharer" home.id
+                  block o;
               if not (Bitset.is_empty entry.Directory.sharers) then
-                fail "home %d block 0x%x: owner and sharers coexist" home.id
-                  block
+                fail block 0 "home %d block 0x%x: owner and sharers coexist"
+                  home.id block
           | None -> ()))
     t.nodes;
-  (* Exclusively cached lines must be registered as owner at the home. *)
+  let pages = Inttbl.create 1024 in
+  let summaries vpage =
+    match Inttbl.find_opt pages vpage with
+    | Some p -> p
+    | None ->
+        let home =
+          match Inttbl.find_opt t.homes vpage with Some h -> h | None -> -1
+        in
+        let p = (home, Bytes.make Addr.blocks_per_page '\000') in
+        Inttbl.add pages vpage p;
+        p
+  in
   Array.iter
     (fun node ->
       Cache.iter node.cache (fun block state ->
-          if state = Cache.Exclusive then begin
-            let vpage = block * Addr.block_size / Addr.page_size in
-            match Hashtbl.find_opt t.homes vpage with
-            | None -> ()
-            | Some home_id -> (
-                let entry = Directory.entry t.nodes.(home_id).dir ~block in
-                match entry.Directory.owner with
-                | Some o when o = node.id -> ()
-                | Some o ->
-                    fail
-                      "block 0x%x cached exclusive at %d but owned by %d"
-                      block node.id o
-                | None ->
-                    fail "block 0x%x cached exclusive at %d but unowned"
-                      block node.id)
-          end))
+          let vpage = block * Addr.block_size / Addr.page_size in
+          let index = block - (vpage * Addr.blocks_per_page) in
+          let home_id, copies = summaries vpage in
+          Bytes.set copies index
+            (Char.chr (count_copy (Char.code (Bytes.get copies index)) state));
+          if home_id >= 0 then
+            match state, Directory.find t.nodes.(home_id).dir ~block with
+            (* Exclusively cached lines must be registered as owner at the
+               home. *)
+            | Cache.Exclusive, Some { Directory.owner = Some o; _ } ->
+                if o <> node.id then
+                  fail block 1
+                    "block 0x%x cached exclusive at %d but owned by %d" block
+                    node.id o
+            | Cache.Exclusive, (Some { Directory.owner = None; _ } | None) ->
+                fail block 1 "block 0x%x cached exclusive at %d but unowned"
+                  block node.id
+            (* Every cached shared copy appears in its home directory's
+               sharer set (unless precise identity was lost to the
+               limited-pointer overflow, in which case invals broadcast
+               anyway).  The converse — a listed sharer without a copy —
+               is legal: shared lines are evicted silently. *)
+            | Cache.Shared, None ->
+                fail block 3
+                  "block 0x%x: cached shared at %d but home %d has no \
+                   directory entry"
+                  block node.id home_id
+            | Cache.Shared, Some entry ->
+                if
+                  (not entry.Directory.overflowed)
+                  && (not (Bitset.mem entry.Directory.sharers node.id))
+                  && entry.Directory.owner <> Some node.id
+                then
+                  fail block 3
+                    "block 0x%x: cached shared at %d but absent from home \
+                     %d's sharer set"
+                    block node.id home_id))
     t.nodes;
   (* Cross-node audit: a writable (Exclusive) copy excludes every other
      cached copy of the block, machine-wide. *)
-  let copies = Hashtbl.create 64 in
-  Array.iter
-    (fun node ->
-      Cache.iter node.cache (fun block state ->
-          let prev =
-            Option.value ~default:[] (Hashtbl.find_opt copies block)
-          in
-          Hashtbl.replace copies block ((node.id, state) :: prev)))
-    t.nodes;
-  Hashtbl.iter
-    (fun block holders ->
-      match List.filter (fun (_, s) -> s = Cache.Exclusive) holders with
-      | [] -> ()
-      | [ (owner, _) ] ->
-          if List.length holders > 1 then
-            fail "block 0x%x: exclusive at %d but also cached at %s" block
-              owner
-              (String.concat ", "
-                 (List.filter_map
-                    (fun (n, _) ->
-                      if n = owner then None else Some (string_of_int n))
-                    holders))
-      | ex ->
-          fail "block 0x%x: multiple exclusive copies (%s)" block
-            (String.concat ", " (List.map (fun (n, _) -> string_of_int n) ex)))
-    copies;
-  (* Cross-node audit: every cached shared copy appears in its home
-     directory's sharer set (unless precise identity was lost to the
-     limited-pointer overflow, in which case invals broadcast anyway).
-     The converse — a listed sharer without a copy — is legal: shared
-     lines are evicted silently. *)
-  Array.iter
-    (fun node ->
-      Cache.iter node.cache (fun block state ->
-          if state = Cache.Shared then begin
-            let vpage = block * Addr.block_size / Addr.page_size in
-            match Hashtbl.find_opt t.homes vpage with
-            | None -> ()
-            | Some home_id -> (
-                match Directory.find t.nodes.(home_id).dir ~block with
-                | None ->
-                    fail
-                      "block 0x%x: cached shared at %d but home %d has no \
-                       directory entry"
-                      block node.id home_id
-                | Some entry ->
-                    if
-                      (not entry.Directory.overflowed)
-                      && (not (Bitset.mem entry.Directory.sharers node.id))
-                      && entry.Directory.owner <> Some node.id
-                    then
-                      fail
-                        "block 0x%x: cached shared at %d but absent from \
-                         home %d's sharer set"
-                        block node.id home_id)
-          end))
-    t.nodes;
-  match !problem with None -> Ok () | Some msg -> Error msg
+  let list nodes = String.concat ", " (List.map string_of_int nodes) in
+  Inttbl.iter
+    (fun vpage (_, copies) ->
+      for index = 0 to Addr.blocks_per_page - 1 do
+        let summary = Char.code (Bytes.get copies index) in
+        let holders_n = summary land 15 and exclusive = summary lsr 4 in
+        let block = (vpage * Addr.blocks_per_page) + index in
+        if exclusive > 1 then
+          fail block 2 "block 0x%x: multiple exclusive copies (%s)" block
+            (list (holders t ~excl:true block))
+        else if exclusive = 1 && holders_n > 1 then
+          let owner = List.hd (holders t ~excl:true block) in
+          fail block 2 "block 0x%x: exclusive at %d but also cached at %s"
+            block owner
+            (list (List.filter (( <> ) owner) (holders t ~excl:false block)))
+      done)
+    pages;
+  match !problem with None -> Ok () | Some (_, _, msg) -> Error msg

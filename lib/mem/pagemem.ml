@@ -1,3 +1,5 @@
+module Inttbl = Tt_util.Inttbl
+
 type user_info = ..
 
 type user_info += No_info
@@ -13,9 +15,9 @@ type page = {
 type t = {
   node_id : int;
   capacity : int option;
-  pages : (int, page) Hashtbl.t;
+  pages : page Inttbl.t;
   (* 1-entry MRU translation cache: memory access streams are heavily
-     same-page, so the common case skips the Hashtbl entirely.  [mru_vpage]
+     same-page, so the common case skips the table entirely.  [mru_vpage]
      is a sentinel (-1) when invalid; [mru_page] then points at a shared
      dummy page that no vpage can reach.  [mru_found] is [Some mru_page],
      kept so that [find_page] on the MRU page allocates nothing. *)
@@ -29,7 +31,7 @@ let dummy_page =
     user = No_info }
 
 let create ?max_pages ~node () =
-  { node_id = node; capacity = max_pages; pages = Hashtbl.create 256;
+  { node_id = node; capacity = max_pages; pages = Inttbl.create 256;
     mru_vpage = -1; mru_page = dummy_page; mru_found = None }
 
 (* [found] is [Some page]: callers pass the option they already hold. *)
@@ -45,17 +47,17 @@ let clear_mru t =
 
 let node t = t.node_id
 
-let page_count t = Hashtbl.length t.pages
+let page_count t = Inttbl.length t.pages
 
 let max_pages t = t.capacity
 
 let is_mapped t ~vpage =
-  vpage = t.mru_vpage || Hashtbl.mem t.pages vpage
+  vpage = t.mru_vpage || Inttbl.mem t.pages vpage
 
 let find_page t ~vpage =
   if vpage = t.mru_vpage then t.mru_found
   else
-    match Hashtbl.find_opt t.pages vpage with
+    match Inttbl.find_opt t.pages vpage with
     | Some p as r ->
         set_mru t ~vpage p r;
         r
@@ -64,7 +66,7 @@ let find_page t ~vpage =
 let get_page t ~vpage =
   if vpage = t.mru_vpage then t.mru_page
   else
-    match Hashtbl.find_opt t.pages vpage with
+    match Inttbl.find_opt t.pages vpage with
     | Some p as r ->
         set_mru t ~vpage p r;
         p
@@ -93,7 +95,7 @@ let map t ~vpage ~home ~mode ~init_tag =
       mode; home; user = No_info }
   in
   set_all_tags page init_tag;
-  Hashtbl.replace t.pages vpage page;
+  Inttbl.replace t.pages vpage page;
   (* a freshly mapped page is about to be accessed: warm the MRU slot *)
   set_mru t ~vpage page (Some page);
   page
@@ -108,15 +110,17 @@ let unmap t ~vpage =
       (Printf.sprintf "Pagemem.unmap: node %d, vpage 0x%x not mapped" t.node_id
          vpage);
   if vpage = t.mru_vpage then clear_mru t;
-  Hashtbl.remove t.pages vpage
+  Inttbl.remove t.pages vpage
 
-let iter_pages t f = Hashtbl.iter f t.pages
+let iter_pages t f = Inttbl.iter f t.pages
 
 let page_of_addr t vaddr = get_page t ~vpage:(Addr.page_of vaddr)
 
+let[@inline] page_tag page ~index =
+  Tag.of_bits (Char.code (Bytes.get page.tags index))
+
 let get_tag t ~vaddr =
-  let page = page_of_addr t vaddr in
-  Tag.of_bits (Char.code (Bytes.get page.tags (Addr.block_index vaddr)))
+  page_tag (page_of_addr t vaddr) ~index:(Addr.block_index vaddr)
 
 let set_tag t ~vaddr tag =
   let page = page_of_addr t vaddr in

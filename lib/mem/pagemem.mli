@@ -67,6 +67,8 @@ val translation_cached : t -> vpage:int -> bool
     observability for the invalidation paths). *)
 
 val iter_pages : t -> (int -> page -> unit) -> unit
+(** Visit every mapped page, in unspecified order: sort by vpage before
+    depending on it. *)
 
 (** {2 Tags} *)
 
@@ -75,6 +77,9 @@ val get_tag : t -> vaddr:int -> Tag.t
     @raise Invalid_argument if the page is unmapped. *)
 
 val set_tag : t -> vaddr:int -> Tag.t -> unit
+
+val page_tag : page -> index:int -> Tag.t
+(** Tag of block [index] of a page already in hand (no translation). *)
 
 val set_all_tags : page -> Tag.t -> unit
 

@@ -33,17 +33,40 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* Visit the members of one word, lowest first; [i] is the element of
+   the word's bit 0. *)
+let rec iter_word f i word =
+  if word <> 0 then begin
+    if word land 1 <> 0 then f i;
+    iter_word f (i + 1) (word lsr 1)
+  end
+
 let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
-  done
+  Array.iteri
+    (fun w word -> if word <> 0 then iter_word f (w * bits_per_word) word)
+    t.words
 
 let to_list t =
   let acc = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    if mem t i then acc := i :: !acc
+  for w = Array.length t.words - 1 downto 0 do
+    let word = t.words.(w) in
+    if word <> 0 then
+      for b = bits_per_word - 1 downto 0 do
+        if word land (1 lsl b) <> 0 then
+          acc := ((w * bits_per_word) + b) :: !acc
+      done
   done;
   !acc
+
+let rec other_from words own mask w =
+  w < Array.length words
+  && ((if w = own then words.(w) land mask else words.(w)) <> 0
+     || other_from words own mask (w + 1))
+
+let mem_other t i =
+  check t i;
+  other_from t.words (i / bits_per_word)
+    (lnot (1 lsl (i mod bits_per_word))) 0
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 

@@ -22,9 +22,15 @@ val cardinal : t -> int
 val is_empty : t -> bool
 
 val iter : (int -> unit) -> t -> unit
-(** Visit members in increasing order. *)
+(** Visit members in increasing order, skipping empty words. *)
 
 val to_list : t -> int list
+(** Members in increasing order. *)
+
+val mem_other : t -> int -> bool
+(** [mem_other t i] is whether [t] has a member other than [i]: one test
+    per word, building no list.
+    @raise Invalid_argument if [i] is out of range. *)
 
 val clear : t -> unit
 

@@ -398,6 +398,16 @@ let test_audit_shared_no_entry () =
     (Printf.sprintf
        "block 0x%x: cached shared at 2 but home 0 has no directory entry" pb)
 
+(* Of several violations the audit reports the lowest block's, whatever
+   the clause: here a cache-side violation below a directory-side one. *)
+let test_audit_lowest_block_first () =
+  let sys = audited_clean () in
+  let above = Directory.entry (Dirnnb.directory sys 0) ~block:(pb + 7) in
+  Queue.add (Directory.Read, 2) above.Directory.waiting;
+  cache_line sys 2 pb Tt_cache.Cache.Exclusive;
+  expect_violation sys
+    (Printf.sprintf "block 0x%x cached exclusive at 2 but unowned" pb)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dirnnb"
@@ -444,6 +454,8 @@ let () =
             test_audit_shared_not_sharer;
           Alcotest.test_case "shared copy without entry" `Quick
             test_audit_shared_no_entry;
+          Alcotest.test_case "lowest block first" `Quick
+            test_audit_lowest_block_first;
         ] );
       ("random", [ qc prop_random_program ]);
     ]

@@ -510,6 +510,15 @@ let test_audit_owner_without_rw () =
   expect_violation st
     (Printf.sprintf "block 0x%x: owner 3 does not hold a RW copy" owned)
 
+(* Of several violations the audit reports the lowest block's. *)
+let test_audit_lowest_block_first () =
+  let sys, st, va = audited_clean () in
+  let idle = va + (2 * Addr.block_size) in
+  set_tag sys 1 (idle + Addr.block_size) Tag.Busy;
+  set_tag sys 0 idle Tag.Read_only;
+  expect_violation st
+    (Printf.sprintf "block 0x%x: Idle but home tag ReadOnly" idle)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "stache"
@@ -560,6 +569,8 @@ let () =
             test_audit_home_tag;
           Alcotest.test_case "owner without a writable copy" `Quick
             test_audit_owner_without_rw;
+          Alcotest.test_case "lowest block first" `Quick
+            test_audit_lowest_block_first;
         ] );
       ("random", [ qc prop_random_coherence ]);
     ]

@@ -9,6 +9,7 @@ module Prng = Tt_util.Prng
 module Intheap = Tt_util.Intheap
 module Vec = Tt_util.Vec
 module Bitset = Tt_util.Bitset
+module Inttbl = Tt_util.Inttbl
 module Stats = Tt_util.Stats
 module Tablefmt = Tt_util.Tablefmt
 
@@ -349,6 +350,92 @@ let prop_bitset_model =
       Bitset.cardinal b = Hashtbl.length model
       && List.for_all (fun x -> Hashtbl.mem model x) (Bitset.to_list b))
 
+(* Capacities around the 62-bit word edges. *)
+let bitset_capacities = [| 1; 61; 62; 63; 124; 128; 130 |]
+
+let prop_bitset_word_edges =
+  QCheck.Test.make ~name:"bitset word scans agree with a per-bit model"
+    ~count:500
+    QCheck.(pair (int_bound 6) (list (pair bool (int_bound 1000))))
+    (fun (c, ops) ->
+      let cap = bitset_capacities.(c) in
+      let b = Bitset.create cap and model = Array.make cap false in
+      List.iter
+        (fun (add, x) ->
+          let x = x mod cap in
+          if add then Bitset.add b x else Bitset.remove b x;
+          model.(x) <- add)
+        ops;
+      let members = List.filter (fun i -> model.(i)) (List.init cap Fun.id) in
+      let visited = ref [] in
+      Bitset.iter (fun i -> visited := i :: !visited) b;
+      List.rev !visited = members
+      && Bitset.to_list b = members
+      && Bitset.cardinal b = List.length members
+      && List.for_all
+           (fun i ->
+             Bitset.mem_other b i = List.exists (fun j -> j <> i) members)
+           (List.init cap Fun.id))
+
+(* ---------------- Inttbl ---------------- *)
+
+(* Random operations against a [Stdlib.Hashtbl] model.  Keys mix small
+   ints, 32-aligned block addresses and negatives, drawn from a narrow
+   range so that operations revisit keys and [add] shadows bindings. *)
+let prop_inttbl_model =
+  QCheck.Test.make ~name:"inttbl agrees with a Hashtbl model" ~count:300
+    QCheck.(
+      list (quad (int_bound 6) (int_bound 2) (int_range (-20) 20) small_int))
+    (fun ops ->
+      let t = Inttbl.create 1 and model = Hashtbl.create 1 in
+      List.for_all
+        (fun (op, kind, k, v) ->
+          let key =
+            match kind with 0 -> k | 1 -> k * 32 | _ -> (k * 32) - (1 lsl 40)
+          in
+          match op with
+          | 0 ->
+              Inttbl.replace t key v;
+              Hashtbl.replace model key v;
+              true
+          | 1 ->
+              Inttbl.add t key v;
+              Hashtbl.add model key v;
+              true
+          | 2 ->
+              Inttbl.remove t key;
+              Hashtbl.remove model key;
+              true
+          | 3 -> Inttbl.find_opt t key = Hashtbl.find_opt model key
+          | 4 -> Inttbl.mem t key = Hashtbl.mem model key
+          | 5 -> Inttbl.length t = Hashtbl.length model
+          | _ ->
+              Inttbl.reset t;
+              Hashtbl.reset model;
+              true)
+        ops
+      && List.sort compare (Inttbl.fold (fun k v acc -> (k, v) :: acc) t [])
+         = List.sort compare
+             (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+
+(* 4,096 consecutive block addresses (multiples of 32) fill the table to
+   two bindings per bucket on average.  A uniformly random hash gives a
+   longest bucket of about 8; an identity hash would leave 31 of every 32
+   buckets empty and put 64 keys in each used one.  The bound is 10. *)
+let test_inttbl_spread () =
+  let t = Inttbl.create 16 in
+  for i = 0 to 4095 do
+    Inttbl.replace t (0x1000_0000 + (i * 32)) i
+  done;
+  let st = Inttbl.stats t in
+  check_int "bindings" 4096 st.Hashtbl.num_bindings;
+  check_bool
+    (Printf.sprintf "max bucket length %d <= 10" st.Hashtbl.max_bucket_length)
+    true
+    (st.Hashtbl.max_bucket_length <= 10);
+  check_bool "hash is non-negative" true
+    (List.for_all (fun k -> Inttbl.hash k >= 0) [ min_int; -1; 0; max_int ])
+
 (* ---------------- Stats ---------------- *)
 
 let test_stats_counters () =
@@ -494,6 +581,12 @@ let () =
           Alcotest.test_case "range check" `Quick test_bitset_range_check;
           Alcotest.test_case "copy/equal" `Quick test_bitset_copy_equal;
           qc prop_bitset_model;
+          qc prop_bitset_word_edges;
+        ] );
+      ( "inttbl",
+        [
+          qc prop_inttbl_model;
+          Alcotest.test_case "block addresses spread" `Quick test_inttbl_spread;
         ] );
       ( "stats",
         [
