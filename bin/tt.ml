@@ -134,13 +134,10 @@ let run_cmd =
       (H.Catalog.size_label size)
       (H.Catalog.data_set_description ~name:app ~size ~scale)
       machine_name nodes r.H.Run.cycles;
-    let taken = Tt_util.Stats.get r.H.Run.run_stats "suspensions_taken"
-    and elided = Tt_util.Stats.get r.H.Run.run_stats "suspensions_elided" in
-    if taken + elided > 0 then
-      Printf.printf
-        "suspensions: %d taken, %d elided (%.1f%% suspension-free)\n" taken
-        elided
-        (100.0 *. float_of_int elided /. float_of_int (taken + elided));
+    let suspensions =
+      Tt_util.Stats.get r.H.Run.run_stats "suspensions_taken"
+    in
+    if suspensions > 0 then Printf.printf "suspensions: %d\n" suspensions;
     let spilled = Tt_util.Stats.get r.H.Run.run_stats "flow.spilled"
     and blocked = Tt_util.Stats.get r.H.Run.run_stats "flow.blocked" in
     if spilled + blocked > 0 then
@@ -878,59 +875,6 @@ let torture_cmd =
       $ perturb_t $ no_shrink_t $ smoke_t $ out_t $ table_t $ replay_t
       $ domains_t)
 
-(* --- tt pdes --- *)
-
-let pdes_cmd =
-  let nodes_t =
-    Arg.(
-      value & opt int 64
-      & info [ "n"; "nodes" ] ~doc:"PHOLD logical processes.")
-  in
-  let partitions_t =
-    Arg.(
-      value & opt int 4
-      & info [ "partitions" ]
-          ~doc:"Event-queue partitions (clamped to the node count).")
-  in
-  let horizon_t =
-    Arg.(
-      value & opt int 100_000
-      & info [ "horizon" ]
-          ~doc:"Events stop reproducing at this simulated cycle.")
-  in
-  let initial_t =
-    Arg.(
-      value & opt int 4
-      & info [ "initial" ] ~doc:"Initial event population per node.")
-  in
-  let run nodes partitions horizon initial seed domains =
-    let domains = resolve_domains domains in
-    note_parallel domains;
-    let r =
-      H.Pdes.run ~seed ~initial ~nodes ~partitions ~horizon ~domains ()
-    in
-    let lo = Array.fold_left min max_int r.H.Pdes.counts
-    and hi = Array.fold_left max 0 r.H.Pdes.counts in
-    Printf.printf
-      "PHOLD: %d nodes over %d partitions, horizon %d: %d events \
-       (%d..%d/node), final time %d, %d windows\n"
-      nodes (Array.length r.H.Pdes.log_hashes) horizon r.H.Pdes.total lo hi
-      r.H.Pdes.final_time r.H.Pdes.epochs;
-    Array.iteri
-      (fun p h -> Printf.printf "partition %d event-log hash: %016x\n" p h)
-      r.H.Pdes.log_hashes
-  in
-  let doc =
-    "PHOLD demo of the domains-parallel conservative engine: partitioned \
-     event queues advanced in lookahead windows, with per-partition \
-     event-log hashes that are bit-identical for every $(b,--domains) \
-     value (the determinism witness behind TT_DOMAINS)."
-  in
-  Cmd.v (Cmd.info "pdes" ~doc)
-    Term.(
-      const run $ nodes_t $ partitions_t $ horizon_t $ initial_t $ seed_t
-      $ domains_t)
-
 let list_cmd =
   let run () =
     Printf.printf "benchmarks: %s\nmachines:   %s\nprotocols:  %s\n"
@@ -947,4 +891,4 @@ let () =
   exit (Cmd.eval (Cmd.group info
        [ run_cmd; fig3_cmd; fig4_cmd; tables_cmd; ablations_cmd; sweep_cmd;
          scale_cmd; proto_cmd; faults_cmd; recover_cmd; torture_cmd;
-         pdes_cmd; verify_cmd; list_cmd ]))
+         verify_cmd; list_cmd ]))

@@ -15,26 +15,17 @@ type result = {
 
 exception Stuck of string
 
-let make_env (machine : Machine.t) ~barrier ~locks ~locks_mu ~proc th =
+let make_env (machine : Machine.t) ~barrier ~locks ~proc th =
   (* The lock table is lazily populated on first acquire.  All of one
-     machine's threads run on one domain, but under the domains-parallel
-     harness a hook or probe on another domain may look a lock up
-     concurrently, and an unsynchronized Hashtbl resize is memory-unsafe —
-     so find-or-create holds a mutex.  [Lock.create] only allocates (no
-     engine interaction), so which caller wins the race never changes
-     simulated behavior: everyone proceeds with the single winner. *)
+     machine's threads, hooks and probes run on one domain, so the table
+     needs no synchronization. *)
   let lock_of i =
-    Mutex.lock locks_mu;
-    let l =
-      match Hashtbl.find_opt locks i with
-      | Some l -> l
-      | None ->
-          let l = Lock.create machine.Machine.engine () in
-          Hashtbl.replace locks i l;
-          l
-    in
-    Mutex.unlock locks_mu;
-    l
+    match Hashtbl.find_opt locks i with
+    | Some l -> l
+    | None ->
+        let l = Lock.create machine.Machine.engine () in
+        Hashtbl.replace locks i l;
+        l
   in
   {
     Env.proc;
@@ -87,21 +78,18 @@ let spmd (machine : Machine.t) ~name ?(check = true) ?watchdog body =
       ~latency:machine.Machine.mparams.Params.barrier_latency
   in
   let locks = Hashtbl.create 16 in
-  let locks_mu = Mutex.create () in
   let threads =
     Array.init nprocs (fun proc ->
         let th =
           Thread.spawn machine.Machine.engine
             ~quantum:machine.Machine.mparams.Params.quantum
             ~name:(Printf.sprintf "%s.cpu%d" name proc)
-            (fun th -> body (make_env machine ~barrier ~locks ~locks_mu ~proc th))
+            (fun th -> body (make_env machine ~barrier ~locks ~proc th))
         in
-        (* per-node fast-path observability: every full fiber suspension
-           vs every inline (elided) completion *)
+        (* per-node count of fiber suspensions *)
         let ns = machine.Machine.node_stats proc in
         Thread.set_suspend_counters th
-          ~taken:(Stats.counter ns "suspensions_taken")
-          ~elided:(Stats.counter ns "suspensions_elided");
+          ~taken:(Stats.counter ns "suspensions_taken");
         th)
   in
   (match watchdog with

@@ -24,12 +24,6 @@ type t = {
   inflight : Message.t Tt_util.Intheap.t;
   mutable fseq : int;
   mutable deliver_fn : unit -> unit; (* preallocated; set once in [create] *)
-  (* Partition routing for the domains-parallel engine: when [local] is
-     set, a send whose destination fails the predicate is handed to
-     [remote] instead of being scheduled here; the owning partition calls
-     [inject] on its own fabric at the arrival time. *)
-  mutable local : (int -> bool) option;
-  mutable remote : (at:int -> Message.t -> unit) option;
   counters : Stats.t;
   (* per-message counters, pre-resolved so [send] never builds key strings *)
   c_msgs_request : Stats.counter;
@@ -70,8 +64,6 @@ let create engine ~nodes ~latency ?(local_latency = 1) ?words_per_cycle
       inflight = Tt_util.Intheap.create ~capacity:64 ~dummy:Message.dummy ();
       fseq = 0;
       deliver_fn = (fun () -> ());
-      local = None;
-      remote = None;
       counters;
       c_msgs_request = Stats.counter counters "msgs.request";
       c_msgs_response = Stats.counter counters "msgs.response";
@@ -93,16 +85,6 @@ let set_receiver t ~node f =
   if node < 0 || node >= t.node_count then invalid_arg "Fabric.set_receiver";
   t.receivers.(node) <- Some f
 
-let set_partition t ~local ~remote =
-  (* the port-contention model serializes through per-node port clocks that
-     a split fabric cannot share deterministically *)
-  if t.words_per_cycle <> None then
-    invalid_arg
-      "Fabric.set_partition: incompatible with the words_per_cycle \
-       contention model";
-  t.local <- Some local;
-  t.remote <- Some remote
-
 (* Renumber inflight entries 0..n-1 in drain order (see Engine.rebase). *)
 let rebase_inflight t =
   let n = Tt_util.Intheap.length t.inflight in
@@ -117,14 +99,6 @@ let rebase_inflight t =
       msgs.(i)
   done;
   t.fseq <- n
-
-let schedule_delivery t deliver_at msg =
-  if t.fseq >= seq_limit then rebase_inflight t;
-  (* schedule first: if [Engine.at] rejects the time we must not leave a
-     stale inflight entry behind *)
-  Tt_sim.Engine.at t.engine deliver_at t.deliver_fn;
-  Tt_util.Intheap.push t.inflight ((deliver_at lsl seq_bits) lor t.fseq) msg;
-  t.fseq <- t.fseq + 1
 
 let send t ~at msg =
   (* validate both endpoints up front: a bad [src] would otherwise index
@@ -181,21 +155,9 @@ let send t ~at msg =
         if waited > 0 then Stats.Counter.add t.c_port_wait waited;
         arrive + occupancy
   in
-  match t.local with
-  | Some is_local when not (is_local msg.Message.dst) ->
-      (* cross-partition: the destination's fabric owns delivery; hand the
-         message over at its departure time and let the owner [inject] it *)
-      (match t.remote with
-      | Some f -> f ~at msg
-      | None -> assert false (* set_partition installs both together *))
-  | _ -> schedule_delivery t deliver_at msg
-
-(* Arrival handed over from a peer partition's fabric: deliver to the
-   (locally owned) destination at absolute time [at], clamped to this
-   engine's clock exactly as a local send would be. *)
-let inject t ~at msg =
-  if msg.Message.dst < 0 || msg.Message.dst >= t.node_count then
-    invalid_arg
-      (Printf.sprintf "Fabric.inject: bad destination %d (fabric has %d nodes)"
-         msg.Message.dst t.node_count);
-  schedule_delivery t (max at (Tt_sim.Engine.now t.engine)) msg
+  if t.fseq >= seq_limit then rebase_inflight t;
+  (* schedule first: if [Engine.at] rejects the time we must not leave a
+     stale inflight entry behind *)
+  Tt_sim.Engine.at t.engine deliver_at t.deliver_fn;
+  Tt_util.Intheap.push t.inflight ((deliver_at lsl seq_bits) lor t.fseq) msg;
+  t.fseq <- t.fseq + 1

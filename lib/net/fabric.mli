@@ -36,24 +36,6 @@ val send : t -> at:int -> Message.t -> unit
     clamped so causality holds even if the sender's clock lags global
     time). *)
 
-val set_partition :
-  t -> local:(int -> bool) -> remote:(at:int -> Message.t -> unit) -> unit
-(** Split the fabric for the domains-parallel engine: a {!send} whose
-    destination fails the [local] predicate is handed to [remote] at its
-    departure time instead of being scheduled here; the glue code forwards
-    it (via [Tt_sim.Domains.post], at [at + latency] — never below the
-    lookahead bound, since latency {e is} the lookahead) to the owning
-    partition's fabric, which delivers it with {!inject}.  Sender-side
-    traffic counters still accrue here, so per-fabric stats sum to the
-    single-fabric totals.  Raises [Invalid_argument] if the fabric was
-    created with [words_per_cycle]: the port-contention clocks cannot be
-    split deterministically. *)
-
-val inject : t -> at:int -> Message.t -> unit
-(** Deliver a message handed over from a peer partition at absolute arrival
-    time [at] (clamped to this engine's clock).  The destination must be a
-    node of this fabric. *)
-
 val stats : t -> Tt_util.Stats.t
 (** Counters: [msgs.request], [msgs.response], [words.request],
     [words.response], [msgs.local]. *)

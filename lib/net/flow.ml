@@ -69,10 +69,6 @@ type t = {
   mutable hook_clock : int -> int;
   mutable hook_charge : int -> int -> unit;
   mutable hook_status : int -> pending:int -> unit;
-  (* partitioned fabric: credit state for a non-owned [src] lives in the
-     source partition's Flow instance; [forward] routes the return there *)
-  mutable owner : (int -> bool) option;
-  mutable forward : (src:int -> dst:int -> Message.vnet -> unit) option;
   counters : Stats.t;
   c_blocked : Stats.counter;
   c_spilled : Stats.counter;
@@ -116,8 +112,6 @@ let create net ~nodes ~request_credits ~response_credits ~spill_capacity
       hook_clock = (fun _ -> no_hooks ());
       hook_charge = (fun _ _ -> no_hooks ());
       hook_status = (fun _ ~pending:_ -> no_hooks ());
-      owner = None;
-      forward = None;
       counters;
       c_blocked = Stats.counter counters "flow.blocked";
       c_spilled = Stats.counter counters "flow.spilled";
@@ -131,8 +125,6 @@ let create net ~nodes ~request_credits ~response_credits ~spill_capacity
 let stats t = t.counters
 
 let node_queued t node = t.queued.(node)
-
-let node_spilled t node = t.spilled.(node)
 
 let peak_queued t = Stats.Counter.get t.c_peak
 
@@ -212,8 +204,8 @@ let note_peak t src =
 let enqueue t ~src ~dst v msg wake =
   let p = pair_get t src dst in
   (* the [in_active] guard (not an emptiness check) prevents a duplicate
-     entry when a thread woken inline mid-drain re-parks for a pair whose
-     stale vec slot has not been compacted away yet *)
+     entry when a message parks mid-drain for a pair whose stale vec slot
+     has not been compacted away yet *)
   if not t.in_active.((src * t.nnodes) + dst) then begin
     t.in_active.((src * t.nnodes) + dst) <- true;
     Vec.push t.active.(src) dst
@@ -339,9 +331,9 @@ let run_drain t node =
     | Some p -> drain_pair t p);
     keep_or_drop dst
   done;
-  (* a thread woken inline above may have re-parked for new destinations,
-     growing the vec past the snapshot [n]; those entries must survive the
-     compaction (they are fresh — nothing to drain for them yet) *)
+  (* a message parked during the drain may have grown the vec past the
+     snapshot [n]; those entries must survive the compaction (they are
+     fresh — nothing to drain for them yet) *)
   for i = n to Vec.length av - 1 do
     keep_or_drop (Vec.get av i)
   done;
@@ -357,18 +349,7 @@ let set_hooks t ~post ~clock ~charge ~status =
     t.chores.(node) <- (fun () -> run_drain t node)
   done
 
-let set_remote t ~owner ~forward =
-  t.owner <- Some owner;
-  t.forward <- Some forward
-
 let credit_return t ~src ~dst vnet =
-  match t.owner with
-  | Some is_local when not (is_local src) ->
-      (* the sender's credit pool lives in its own partition's Flow *)
-      (match t.forward with
-      | Some f -> f ~src ~dst vnet
-      | None -> assert false (* set_remote installs both together *))
-  | _ ->
   let ci = cidx t ~src ~dst vnet in
   t.credits.(ci) <- t.credits.(ci) + 1;
   if t.queued.(src) > 0 && not t.drain_posted.(src) then begin

@@ -102,17 +102,6 @@ val credit_return : t -> src:int -> dst:int -> Message.vnet -> unit
     Posts a drain chore on [src] iff the returning credit makes a parked
     message releasable (ample credits never schedule anything). *)
 
-val set_remote :
-  t ->
-  owner:(int -> bool) ->
-  forward:(src:int -> dst:int -> Message.vnet -> unit) ->
-  unit
-(** Partitioned-fabric glue (see [Tt_net.Fabric.set_partition]): a
-    {!credit_return} whose [src] fails the [owner] predicate is routed
-    through [forward] — typically a [Tt_sim.Domains.post] to the source
-    partition, whose own Flow instance holds that sender's credit pool —
-    instead of touching this instance's state. *)
-
 val deadlock : t -> string option
 (** Probe the waits-for graph: an edge src→dst exists when src has parked
     traffic for dst that is not currently releasable.  Returns a rendered
@@ -124,19 +113,12 @@ val deadlock : t -> string option
 val node_queued : t -> int -> int
 (** Parked messages (blocked + spilled) originating at a node. *)
 
-val node_spilled : t -> int -> int
-(** Handler-side spilled messages currently parked at a node. *)
-
 val peak_queued : t -> int
 (** High-water mark of any single node's parked count. *)
-
-val credit_level : t -> src:int -> dst:int -> Message.vnet -> int
 
 val describe : t -> string
 (** Occupancy summary of every node with parked traffic (for watchdog
     [Expired] diagnostics). *)
-
-val describe_node : t -> int -> string
 
 val stats : t -> Tt_util.Stats.t
 (** Counters: [flow.blocked] (CPU senders parked), [flow.spilled]

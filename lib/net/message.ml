@@ -46,13 +46,11 @@ module Pool = struct
      Each bucket is a grow-only array used as a stack: push/pop allocate
      nothing in steady state.
 
-     Buckets and scratch arrays are domain-local (Domain.DLS): under the
-     domains-parallel harness several independent simulations (or fabric
-     partitions) run concurrently, and a shared freelist would be both a
-     data race and a cross-run coupling.  Each domain gets its own
-     freelists; a message released on a different domain than it was
-     acquired on simply lands in the releasing domain's freelist, which is
-     harmless imbalance, never corruption. *)
+     Buckets and scratch arrays are domain-local (Domain.DLS):
+     [Tt_sim.Domains.map] runs whole grid cells (independent simulations)
+     on worker domains concurrently, and a shared freelist would be both a
+     data race and a cross-cell coupling.  Each domain gets its own
+     freelists, and a cell's messages never leave its domain. *)
 
   let max_args = max_payload_words - 1 (* handler word leaves 19 arg slots *)
 
@@ -70,16 +68,6 @@ module Pool = struct
 
   let bucket_index vnet nargs =
     (match vnet with Request -> 0 | Response -> max_args + 1) + nargs
-
-  let disabled =
-    ref
-      (match Sys.getenv_opt "TT_POOL_DISABLE" with
-      | Some ("1" | "true") -> true
-      | Some _ | None -> false)
-
-  let set_disabled b = disabled := b
-
-  let is_disabled () = !disabled
 
   (* Shared scratch argument arrays, one per arity.  A send site fills the
      scratch of its arity and passes it to [acquire], which copies the
@@ -107,7 +95,7 @@ module Pool = struct
      steady-state send path must go through a signature with none. *)
   let acquire_full ~src ~dst ~vnet ~handler ~args ~data ~seq ~ack =
     let nargs = Array.length args in
-    if !disabled || nargs > max_args then
+    if nargs > max_args then
       (* unpooled fallback: must still copy [args], the caller may be
          handing us a scratch array it will refill for its next send *)
       make ~src ~dst ~vnet ~handler ~args:(Array.copy args) ~data ~seq ~ack ()

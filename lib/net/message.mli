@@ -71,9 +71,8 @@ module Pool : sig
   (** Like {!make} but drawing from the freelist when possible.  [args] is
       copied into the message (so callers may pass a {!scratch} array and
       refill it immediately); [data] is referenced, not copied — ownership
-      of the bytes follows the message.  When pooling is disabled (or the
-      arity exceeds the packet limit) this degrades to a fresh {!make}
-      with copied args.
+      of the bytes follows the message.  When the arity exceeds the packet
+      limit this degrades to a fresh {!make} with copied args.
       @raise Invalid_argument if the packet exceeds {!max_payload_words}. *)
 
   val acquire_raw :
@@ -100,14 +99,6 @@ module Pool : sig
       argument lists without allocating.  Fill it, pass it to {!acquire}
       (which copies synchronously), then reuse it freely.  Not reentrant:
       do not hold a scratch array across another send of the same arity. *)
-
-  val set_disabled : bool -> unit
-  (** Turn pooling off ([acquire] = fresh allocation) or back on.  Initial
-      state comes from the [TT_POOL_DISABLE] environment variable ([1] or
-      [true] disables).  Used by the bench harness to prove pooling is
-      timing-neutral. *)
-
-  val is_disabled : unit -> bool
 
   val free_count : unit -> int
   (** Total messages currently sitting in freelists (diagnostics). *)

@@ -101,10 +101,9 @@ let validate t =
   else if t.fabric_capacity <= 0 then err "fabric_capacity must be positive"
   else Ok ()
 
-(* TT_DOMAINS follows the TT_FASTPATH / TT_FLOW kill-switch
-   pattern: a simulator-implementation knob read from the environment, not
-   a machine parameter — it must never appear in [t], where it could leak
-   into labels or pinned outputs. *)
+(* TT_DOMAINS follows the TT_FLOW switch pattern: a simulator-implementation
+   knob read from the environment, not a machine parameter — it must never
+   appear in [t], where it could leak into labels or pinned outputs. *)
 let domains_of_env () =
   match Sys.getenv_opt "TT_DOMAINS" with
   | None | Some "" -> 0

@@ -31,9 +31,8 @@ let wait t th =
         t.episodes <- t.episodes + 1;
         (* Release in the order the former cons-list produced: the last
            arriver (ourselves) first, then earlier arrivers in reverse
-           arrival order.  Our own unpark fires mid-registration, so when
-           nothing else is queued at the release time we continue inline
-           without suspending at all. *)
+           arrival order.  Each unpark schedules that thread's resume
+           event, so the resumes fire in this order. *)
         for i = Vec.length t.waiters - 1 downto 0 do
           let w = Vec.get t.waiters i in
           Thread.set_clock w release_time;

@@ -36,36 +36,23 @@ type t = {
   mutable seq : int;
   mutable tiebreak : (int -> int) option;
   mutable tiebreak_sites : int;
-  mutable run_limit : int;
-      (* horizon of an in-progress [run_until]; [max_int] otherwise.  Inline
-         continuations ([elidable_at]) must not advance [now] past it, or a
-         watchdog-sliced run would observe different slice boundaries than
-         the equivalent one-event-per-resume schedule. *)
   mutable trace : (int -> unit) option;
       (* drain observer: called with each fired event's packed key, before
-         the callback runs.  Powers the sequential-vs-parallel event-log
-         cross-checks (see Domains); [None] keeps [fire] branch-predicted
-         and allocation-free. *)
+         the callback runs; [None] keeps [fire] branch-predicted and
+         allocation-free. *)
 }
 
 let nop () = ()
 
 let create () =
   { events = Intheap.create ~capacity:256 ~dummy:nop (); now = 0; seq = 0;
-    tiebreak = None; tiebreak_sites = 0; run_limit = max_int; trace = None }
+    tiebreak = None; tiebreak_sites = 0; trace = None }
 
 let set_tiebreak t f = t.tiebreak <- f
 
 let tiebreak_sites t = t.tiebreak_sites
 
 let set_trace t f = t.trace <- f
-
-(* Packed-key field decoders, for event-log cross-checks and diagnostics. *)
-let key_time key = key asr seq_bits
-
-let key_seq key = key land (seq_limit - 1)
-
-let key_salt key = (key asr counter_bits) land (salt_limit - 1)
 
 let now t = t.now
 
@@ -156,19 +143,6 @@ let next_event_time t =
   if Intheap.is_empty t.events then max_int
   else Intheap.min_key t.events asr seq_bits
 
-(* [elidable_at t time] decides whether a caller may advance [now] to
-   [time] with {!skip_to} and keep executing inline instead of scheduling a
-   callback at [time] and letting the queue fire it.  The two are
-   indistinguishable iff no queued event would fire at or before [time]
-   (strict: an already-queued same-time event has a smaller FIFO seq and
-   must run first), [time] is within any active [run_until] horizon, and no
-   tie-break perturber is installed — eliding an [at] call would shift every
-   later perturbation site index and break salt-journal replay. *)
-let elidable_at t time =
-  time >= t.now && time <= t.run_limit
-  && (match t.tiebreak with None -> true | Some _ -> false)
-  && (Intheap.is_empty t.events || Intheap.min_key t.events asr seq_bits > time)
-
 let skip_to t time =
   if time < t.now then
     invalid_arg
@@ -202,17 +176,13 @@ let step t =
 
 let run t = while step t do () done
 
-let run_until t ~limit =
-  let rec go () =
-    if Intheap.is_empty t.events then true
+let rec run_until t ~limit =
+  if Intheap.is_empty t.events then true
+  else begin
+    let key = Intheap.min_key t.events in
+    if key asr seq_bits > limit then false
     else begin
-      let key = Intheap.min_key t.events in
-      if key asr seq_bits > limit then false
-      else begin
-        fire t key;
-        go ()
-      end
+      fire t key;
+      run_until t ~limit
     end
-  in
-  t.run_limit <- limit;
-  Fun.protect ~finally:(fun () -> t.run_limit <- max_int) go
+  end

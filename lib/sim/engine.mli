@@ -55,36 +55,13 @@ val set_trace : t -> (int -> unit) option -> unit
 (** Install (or remove) a drain observer: [f key] is called with each fired
     event's packed [(time, salt, seq)] key, after [now] has advanced but
     before the callback runs.  [None] (the default) keeps the drain path
-    free of the extra call.  Decode keys with {!key_time}, {!key_salt} and
-    {!key_seq}.  This is the probe behind the sequential-vs-parallel
-    event-log equivalence checks (see {!Domains}). *)
-
-val key_time : int -> int
-(** Simulated timestamp of a packed event key. *)
-
-val key_seq : int -> int
-(** Full 20-bit tie-break field of a packed key.  Without a {!set_tiebreak}
-    perturber this is the plain FIFO sequence number. *)
-
-val key_salt : int -> int
-(** High 8 bits of the tie-break field.  Meaningful as perturbation salt
-    only while a {!set_tiebreak} perturber is installed; otherwise these are
-    simply the FIFO counter's high bits. *)
+    free of the extra call.  perfbench uses it to count events and to
+    drive its per-layer trace cursor. *)
 
 val next_event_time : t -> int
 (** Timestamp of the earliest queued event, or [max_int] when the queue is
     empty.  Lets a dispatcher decide whether it may keep draining its own
     work inline (see {!skip_to}) without perturbing event order. *)
-
-val elidable_at : t -> int -> bool
-(** [elidable_at t time] is [true] when advancing [now] to [time] with
-    {!skip_to} and continuing execution inline is indistinguishable from
-    scheduling a callback at [time] and letting the queue fire it: no queued
-    event at or before [time] (strictly — a coexisting same-time event has
-    an earlier FIFO seq and must run first), [time] within an active
-    {!run_until} horizon, and no {!set_tiebreak} perturber installed
-    (eliding an {!at} call would shift every later perturbation site).
-    This is the guard behind {!Thread}'s suspension-free fast path. *)
 
 val skip_to : t -> int -> unit
 (** [skip_to t time] advances [now] to [time] without running any event.

@@ -4,22 +4,13 @@
     running inside the fiber charges cycles with {!advance} and blocks
     through a reusable per-thread {e poll/continuation slot}: a blocking
     operation ({!await}, {!await_unit}, {!park}) first runs its registration
-    closure, and if the wake has already fired by the time registration
-    returns — lock uncontended, barrier last-arriver, data already local —
-    the thread continues {e inline}, without capturing a continuation.  Only
-    a genuine cross-event wait (a wake that arrives from a later engine
-    event, e.g. a protocol handler on the network processor) performs the
-    full [Effect.perform] fiber suspension.  The memory system uses this to
-    implement Tempest's suspend-handle-resume semantics for block access
-    faults.
-
-    The inline fast path is timing-neutral: it is taken only when
-    {!Engine.elidable_at} proves that continuing inline is indistinguishable
-    from scheduling the resume event and letting the queue fire it.
-    [TT_FASTPATH=0] (or {!set_fastpath}) disables it, forcing every blocking
-    operation through the full suspension — simulated results are
-    bit-identical either way (asserted by tests and
-    [scripts/check_fastpath.sh]).
+    closure, then captures the continuation with one [Effect.perform].  The
+    wake schedules a preallocated resume event at the wake time; when that
+    event fires, the continuation runs.  A wake that fires while
+    registration is still running (lock uncontended, barrier last-arriver)
+    schedules its resume event at that point, so the resume keeps the FIFO
+    position of the wake.  The memory system uses this to implement
+    Tempest's suspend-handle-resume semantics for block access faults.
 
     A thread's clock may run ahead of global time by at most [quantum]
     cycles between yields, mirroring the Wind Tunnel's quantum-based
@@ -57,16 +48,11 @@ val blocked : t -> bool
 val await : t -> ((int -> unit) -> unit) -> int
 (** [await t register] must be called from inside the thread's own body.
     [register] runs immediately and receives [wake]; calling [wake v]
-    (exactly once, now or later) resumes the thread at [max (clock t) now]
-    and makes [await] return [v].
-
-    If [wake] fires before [register] returns and no queued engine event
-    would run at or before the resume time, [await] returns inline — no
-    continuation is captured and no engine event is scheduled (the engine
-    clock still advances to the resume time, via {!Engine.skip_to}).
-    Otherwise the thread suspends and the wake's resume event runs the
-    captured continuation.  A second call of the same [wake], or a call
-    after the await completed, raises [Invalid_argument]. *)
+    (exactly once, now or later) schedules the thread's resume at
+    [max (clock t) now] and makes [await] return [v] when that event
+    fires.  The thread always suspends, even when [wake] fires before
+    [register] returns.  A second call of the same [wake], or a call after
+    the await completed, raises [Invalid_argument]. *)
 
 val await_unit : t -> ((unit -> unit) -> unit) -> unit
 (** {!await} for waits that carry no value. *)
@@ -85,21 +71,11 @@ val unpark : t -> unit
 
 val yield : t -> unit
 (** Re-enter the event queue at the current local clock, letting events with
-    earlier timestamps run first.  When no queued event would fire at or
-    before the local clock this is a cheap inline re-enqueue: no effect, no
-    continuation capture, no engine event. *)
+    earlier timestamps (and same-time events already queued) run first. *)
 
 val maybe_yield : t -> unit
 (** {!yield} only if the local clock has outrun the last yield by more than
     the quantum.  Call this on every simulated memory access. *)
 
-val set_fastpath : bool -> unit
-(** Enable/disable the inline fast path at runtime (initial value from
-    [TT_FASTPATH], default enabled).  For ablation and equivalence tests. *)
-
-val fastpath_enabled : unit -> bool
-
-val set_suspend_counters :
-  t -> taken:Tt_util.Stats.counter -> elided:Tt_util.Stats.counter -> unit
-(** Wire the per-node statistics cells bumped on every full suspension
-    ([taken]) and every inline completion ([elided]). *)
+val set_suspend_counters : t -> taken:Tt_util.Stats.counter -> unit
+(** Wire the per-node statistics cell bumped on every suspension. *)

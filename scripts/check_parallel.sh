@@ -1,13 +1,12 @@
 #!/bin/sh
-# Domains-parallel engine gate.
+# Grid-cell parallelism gate (Tt_sim.Domains.map).
 #
 # 1. Runs the full test suite under TT_DOMAINS=0 and TT_DOMAINS=4 so the
-#    pinned cycle rows, torture replays and PHOLD determinism properties
-#    hold with the parallel harness both off and on.
+#    pinned cycle rows and torture replays hold with the parallel harness
+#    both off and on.
 # 2. Diffs deterministic CLI outputs byte for byte across TT_DOMAINS
-#    values: the scale sweep table, a fault-sweep table, and the tt pdes
-#    per-partition event-log hashes (the Domains determinism witness).
-#    Only wall-clock may differ; the parallel note goes to stderr.
+#    values: the scale sweep table and a fault-sweep table.  Only
+#    wall-clock may differ; the parallel note goes to stderr.
 # 3. On hosts with >= 4 cores, additionally requires the parallel scale
 #    sweep to beat the sequential one by TT_CHECK_SPEEDUP_MIN (default
 #    1.5x; the ISSUE target of 2x needs 4 idle cores).  Skipped on
@@ -50,13 +49,6 @@ TT_DOMAINS=4 "$TT" faults --apps em3d,mp3d --drops 5 --seeds 1 -n 4 \
   --scale 0.1 2>/dev/null >"$par_out"
 diff -u "$seq_out" "$par_out"
 
-echo "== pdes event-log hashes, TT_DOMAINS=1 vs TT_DOMAINS=4 =="
-"$TT" pdes -n 64 --partitions 4 --horizon 50000 --domains 1 >"$seq_out"
-"$TT" pdes -n 64 --partitions 4 --horizon 50000 --domains 4 2>/dev/null \
-  >"$par_out"
-cat "$seq_out"
-diff -u "$seq_out" "$par_out"
-
 ncores=$( (nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null) || echo 1)
 min=${TT_CHECK_SPEEDUP_MIN:-1.5}
 if [ "$ncores" -ge 4 ]; then
@@ -73,4 +65,4 @@ else
   echo "(speedup gate skipped: only $ncores core(s); determinism asserted)"
 fi
 
-echo "parallel parity: suites green both ways, tables and hashes identical"
+echo "parallel parity: suites green both ways, tables identical"

@@ -3,8 +3,7 @@
 #
 # 1. The default litmus smoke grid — every shape x {stache, dirnnb} x
 #    {perfect, drop 5%} x 8 seeds, schedules perturbed — must report zero
-#    SC violations, with the message/buffer pools enabled and disabled
-#    (the same timing-neutrality axis as check_pool_timing.sh).
+#    SC violations.
 # 2. The guarded sabotage knob (TT_SABOTAGE=1 breaks Stache's
 #    invalidation handler) must make the same grid fail, and the harness
 #    must shrink the first failure to a runnable reproducer artifact.
@@ -17,11 +16,8 @@ cd "$(dirname "$0")/.."
 dune build bin/tt.exe
 TT=_build/default/bin/tt.exe
 
-echo "== torture smoke grid (pools enabled) =="
+echo "== torture smoke grid =="
 "$TT" torture --smoke
-
-echo "== torture smoke grid (pools disabled, TT_POOL_DISABLE=1) =="
-TT_POOL_DISABLE=1 "$TT" torture --smoke
 
 repro=$(mktemp /tmp/tt-torture-repro.XXXXXX)
 trap 'rm -f "$repro"' EXIT

@@ -1,309 +1,61 @@
-(* The domains-parallel conservative engine and its harness integration.
+(* Grid-cell parallelism: Domains.map and the harness sweeps built on it.
 
-   The determinism contract under test, from strongest to broadest:
-
-   - Mailbox: the SPSC handoff ring delivers FIFO across domains.
-   - Domains: per-partition event-key logs (via Engine.set_trace) are
-     bit-identical for every domain count, including the 1-domain oracle;
-     the lookahead and capacity bounds are enforced.
-   - Partitioned Fabric/Flow: a fabric split across partitions delivers
-     the same messages at the same times as the single-fabric oracle, and
-     credit returns land in the owning partition's Flow.
+   - Domains.map: results come back in input order, the earliest failing
+     item's exception is re-raised, and 0 or 1 domains is List.map.
    - Harness sweeps: scaling / fault / torture grids fan out over domains
      with bit-identical points, and a whole machine simulation is
      domain-relocatable (same cycles when run inside Domain.spawn). *)
 
-module Engine = Tt_sim.Engine
-module Mailbox = Tt_sim.Mailbox
 module Domains = Tt_sim.Domains
-module Fabric = Tt_net.Fabric
-module Message = Tt_net.Message
-module Reliable = Tt_net.Reliable
-module Flow = Tt_net.Flow
 module H = Tt_harness
 
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-(* ---------------- Mailbox ---------------- *)
+(* ---------------- Domains.map ---------------- *)
 
-let test_mailbox_fifo_and_capacity () =
-  let b = Mailbox.create ~capacity:5 ~dummy:(-1) () in
-  check_int "capacity rounds up to a power of two" 8 (Mailbox.capacity b);
-  check_bool "fresh is empty" true (Mailbox.is_empty b);
-  for i = 0 to 7 do
-    check_bool "push accepted" true (Mailbox.try_push b i)
+exception Item of int
+
+(* enough work per item that worker domains finish out of input order *)
+let spin x =
+  let acc = ref x in
+  for i = 1 to 20_000 * (1 + (x mod 3)) do
+    acc := (!acc * 31) + i land 0xffff
   done;
-  check_bool "push past capacity refused" false (Mailbox.try_push b 99);
-  check_int "length" 8 (Mailbox.length b);
-  for i = 0 to 7 do
-    check_int "FIFO pop" i (Mailbox.pop_exn b)
-  done;
-  Alcotest.check_raises "pop on empty"
-    (Failure "Mailbox.pop_exn: empty")
-    (fun () -> ignore (Mailbox.pop_exn b))
+  ignore (Sys.opaque_identity !acc);
+  x * x
 
-(* head/tail are monotone counters; exercise the ring across several
-   wraparounds of the slot array *)
-let test_mailbox_wraparound () =
-  let b = Mailbox.create ~capacity:4 ~dummy:0 () in
-  for round = 0 to 63 do
-    for i = 0 to 3 do
-      check_bool "push" true (Mailbox.try_push b ((round * 10) + i))
-    done;
-    for i = 0 to 3 do
-      check_int "pop" ((round * 10) + i) (Mailbox.pop_exn b)
-    done
-  done;
-  check_bool "empty after rounds" true (Mailbox.is_empty b)
+let test_map_input_order () =
+  let xs = List.init 17 Fun.id in
+  Alcotest.(check (list int))
+    "results in input order" (List.map spin xs)
+    (Domains.map ~domains:3 spin xs)
 
-(* one producer domain, one consumer domain, no barrier: the atomic
-   tail/head publication alone must carry every element across intact *)
-let test_mailbox_cross_domain () =
-  let n = 10_000 in
-  let b = Mailbox.create ~capacity:64 ~dummy:(-1) () in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Mailbox.try_push b i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let got = ref 0 and ok = ref true in
-  while !got < n do
-    if Mailbox.is_empty b then Domain.cpu_relax ()
-    else begin
-      if Mailbox.pop_exn b <> !got then ok := false;
-      incr got
-    end
-  done;
-  Domain.join producer;
-  check_bool "all elements in order" true !ok;
-  check_bool "drained" true (Mailbox.is_empty b)
-
-(* ---------------- Domains: bounds ---------------- *)
-
-let test_domains_lookahead_violation () =
-  let t = Domains.create ~partitions:2 ~lookahead:11 () in
-  (* same-partition posts may be arbitrarily near *)
-  Domains.post t ~src:0 ~dst:0 0 (fun () -> ());
-  Alcotest.check_raises "cross-partition post below the window"
-    (Invalid_argument
-       "Domains.post: time 10 from partition 0 (now=0) violates the \
-        lookahead window (now + 11)")
-    (fun () -> Domains.post t ~src:0 ~dst:1 10 (fun () -> ()))
-
-let test_domains_mailbox_full () =
-  let t =
-    Domains.create ~partitions:2 ~lookahead:1 ~mailbox_capacity:4 ()
-  in
-  for _ = 1 to 4 do
-    Domains.post t ~src:0 ~dst:1 100 (fun () -> ())
-  done;
-  check_bool "fifth post overflows" true
-    (match Domains.post t ~src:0 ~dst:1 100 (fun () -> ()) with
-    | () -> false
-    | exception Domains.Mailbox_full _ -> true)
-
-(* a partition event raising must surface here, not deadlock the group *)
-let test_domains_error_propagates () =
+let test_map_earliest_exception () =
+  let f x = if x = 4 || x = 11 then raise (Item x) else spin x in
   List.iter
     (fun domains ->
-      (* fresh group per run: the failing event is consumed by firing *)
-      let t = Domains.create ~partitions:2 ~lookahead:11 () in
-      Engine.at (Domains.engine t 1) 5 (fun () -> failwith "boom");
-      check_bool "failure re-raised" true
-        (match Domains.run ~domains t with
-        | (_ : bool) -> false
-        | exception Failure msg -> msg = "boom"))
-    [ 1; 2 ]
+      match Domains.map ~domains f (List.init 16 Fun.id) with
+      | _ -> Alcotest.fail "a raising item must raise"
+      | exception Item x ->
+          check_int
+            (Printf.sprintf "earlier item's exception (%d domains)" domains)
+            4 x)
+    [ 0; 1; 3 ]
 
-(* ---------------- Domains: PHOLD determinism ---------------- *)
-
-let phold ?(nodes = 24) ?(partitions = 4) ?(horizon = 8_000) ?(seed = 42)
-    domains =
-  H.Pdes.run ~seed ~nodes ~partitions ~horizon ~domains ()
-
-let test_phold_domain_count_invariance () =
-  let oracle = phold 1 in
-  check_bool "oracle drains" true oracle.H.Pdes.drained;
-  check_bool "oracle fired events" true (oracle.H.Pdes.total > 0);
+let test_map_sequential_is_list_map () =
+  let xs = List.init 9 (fun i -> i - 4) in
+  let f x = (x * 7) - 1 in
   List.iter
     (fun domains ->
-      let r = phold domains in
-      Alcotest.(check (array int))
-        (Printf.sprintf "per-partition log hashes, %d domains" domains)
-        oracle.H.Pdes.log_hashes r.H.Pdes.log_hashes;
-      Alcotest.(check (array int))
-        (Printf.sprintf "per-node counts, %d domains" domains)
-        oracle.H.Pdes.counts r.H.Pdes.counts;
-      check_int
-        (Printf.sprintf "final time, %d domains" domains)
-        oracle.H.Pdes.final_time r.H.Pdes.final_time;
-      check_int
-        (Printf.sprintf "epochs, %d domains" domains)
-        oracle.H.Pdes.epochs r.H.Pdes.epochs)
-    [ 2; 3; 4; 7 ]
-
-(* partition count changes the schedule split but may not change what any
-   node does or when the simulation ends *)
-let test_phold_partition_count_invariance () =
-  let oracle = phold ~partitions:1 1 in
-  List.iter
-    (fun partitions ->
-      let r = phold ~partitions 2 in
-      Alcotest.(check (array int))
-        (Printf.sprintf "per-node counts, %d partitions" partitions)
-        oracle.H.Pdes.counts r.H.Pdes.counts;
-      check_int
-        (Printf.sprintf "final time, %d partitions" partitions)
-        oracle.H.Pdes.final_time r.H.Pdes.final_time)
-    [ 2; 3; 4 ]
-
-(* random schedules: the parallel drain must match the 1-domain oracle on
-   every (nodes, partitions, seed, horizon) draw *)
-let prop_phold_parallel_matches_oracle =
-  QCheck.Test.make ~name:"parallel PHOLD event logs match the 1-domain oracle"
-    ~count:25
-    QCheck.(
-      quad (int_range 2 24) (int_range 1 6) (int_range 0 1000)
-        (int_range 500 4000))
-    (fun (nodes, partitions, seed, horizon) ->
-      let go domains =
-        let r = H.Pdes.run ~seed ~nodes ~partitions ~horizon ~domains () in
-        (r.H.Pdes.log_hashes, r.H.Pdes.counts, r.H.Pdes.final_time,
-         r.H.Pdes.epochs)
-      in
-      go 1 = go 3)
-
-(* ---------------- Partitioned fabric vs single-fabric oracle -------- *)
-
-(* A ring of relaying receivers: node i counts each arrival and forwards
-   to node i+1 until the hop budget is spent.  Run once on a single
-   fabric, once split over two partitions with the remote-handoff glue,
-   and demand identical per-node arrival logs (time and hop count). *)
-let relay_workload ~nodes ~latency ~hops ~kickoffs =
-  let single () =
-    let e = Engine.create () in
-    let f = Fabric.create e ~nodes ~latency () in
-    let log = Array.make nodes [] in
-    for node = 0 to nodes - 1 do
-      Fabric.set_receiver f ~node (fun msg ->
-          let h = msg.Message.args.(0) in
-          log.(node) <- (Engine.now e, h) :: log.(node);
-          if h > 0 then
-            Fabric.send f ~at:(Engine.now e)
-              (Message.make ~src:node ~dst:((node + 1) mod nodes)
-                 ~vnet:Message.Request ~handler:0
-                 ~args:[| h - 1 |] ()))
-    done;
-    List.iter
-      (fun (src, at) ->
-        Fabric.send f ~at
-          (Message.make ~src ~dst:((src + 1) mod nodes)
-             ~vnet:Message.Request ~handler:0 ~args:[| hops |] ()))
-      kickoffs;
-    Engine.run e;
-    log
-  in
-  let partitioned domains =
-    let parts = 2 in
-    let part_of n = n mod parts in
-    let t = Domains.create ~partitions:parts ~lookahead:latency () in
-    let log = Array.make nodes [] in
-    let fabrics =
-      Array.init parts (fun p ->
-          Fabric.create (Domains.engine t p) ~nodes ~latency ())
-    in
-    Array.iteri
-      (fun p f ->
-        Fabric.set_partition f
-          ~local:(fun n -> part_of n = p)
-          ~remote:(fun ~at msg ->
-            let dst = part_of msg.Message.dst in
-            let arrive = at + latency in
-            Domains.post t ~src:p ~dst arrive (fun () ->
-                Fabric.inject fabrics.(dst) ~at:arrive msg)))
-      fabrics;
-    for node = 0 to nodes - 1 do
-      let p = part_of node in
-      let f = fabrics.(p) in
-      Fabric.set_receiver f ~node (fun msg ->
-          let h = msg.Message.args.(0) in
-          log.(node) <- (Engine.now (Domains.engine t p), h) :: log.(node);
-          if h > 0 then
-            Fabric.send f
-              ~at:(Engine.now (Domains.engine t p))
-              (Message.make ~src:node ~dst:((node + 1) mod nodes)
-                 ~vnet:Message.Request ~handler:0
-                 ~args:[| h - 1 |] ()))
-    done;
-    List.iter
-      (fun (src, at) ->
-        Fabric.send fabrics.(part_of src) ~at
-          (Message.make ~src ~dst:((src + 1) mod nodes)
-             ~vnet:Message.Request ~handler:0 ~args:[| hops |] ()))
-      kickoffs;
-    check_bool "partitioned run drains" true (Domains.run ~domains t);
-    log
-  in
-  (single (), partitioned)
-
-let test_partitioned_fabric_matches_oracle () =
-  let nodes = 6 and latency = 11 in
-  (* two concurrent relay chains from different sources, plus a same-time
-     pair racing into one destination *)
-  let kickoffs = [ (0, 0); (3, 0); (1, 5) ] in
-  let oracle, partitioned =
-    relay_workload ~nodes ~latency ~hops:40 ~kickoffs
-  in
-  List.iter
-    (fun domains ->
-      let got = partitioned domains in
-      for node = 0 to nodes - 1 do
-        Alcotest.(check (list (pair int int)))
-          (Printf.sprintf "node %d arrival log (%d domains)" node domains)
-          oracle.(node) got.(node)
-      done)
-    [ 1; 2 ]
-
-(* ---------------- Flow: remote credit return ---------------- *)
-
-let make_flow e =
-  let f = Fabric.create e ~nodes:4 ~latency:11 () in
-  let net = Reliable.create e f Reliable.Perfect in
-  Flow.create net ~nodes:4 ~request_credits:3 ~response_credits:3
-    ~spill_capacity:8 ~spill_cost:0 ~drain_cost:0 ~status_cost:0 ()
-
-let test_flow_remote_credit_forwarded () =
-  let e = Engine.create () in
-  (* partition 0 owns even nodes, partition 1 odd; one Flow each *)
-  let fl = Array.init 2 (fun _ -> make_flow e) in
-  let forwarded = ref [] in
-  Array.iteri
-    (fun p f ->
-      Flow.set_remote f
-        ~owner:(fun n -> n mod 2 = p)
-        ~forward:(fun ~src ~dst vnet ->
-          forwarded := (p, src, dst) :: !forwarded;
-          Flow.credit_return fl.(src mod 2) ~src ~dst vnet))
-    fl;
-  (* consume a credit for src=1 (odd, partition 1) out of its own Flow,
-     then return it through partition 0's instance: it must be forwarded,
-     not absorbed locally *)
-  let level f = Flow.credit_level f ~src:1 ~dst:2 Message.Request in
-  let before = level fl.(1) in
-  Flow.credit_return fl.(0) ~src:1 ~dst:2 Message.Request;
-  check_int "forwarded exactly once" 1 (List.length !forwarded);
-  check_bool "routed via the non-owner" true
-    (List.hd !forwarded = (0, 1, 2));
-  check_int "credit landed in the owner instance" (before + 1) (level fl.(1));
-  check_int "non-owner instance untouched" before (level fl.(0));
-  (* owned returns stay local *)
-  Flow.credit_return fl.(0) ~src:2 ~dst:1 Message.Request;
-  check_int "no forward for an owned src" 1 (List.length !forwarded)
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d domains" domains)
+        (List.map f xs) (Domains.map ~domains f xs);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d domains, empty list" domains)
+        [] (Domains.map ~domains f []))
+    [ 0; 1 ]
 
 (* ---------------- Harness sweeps: parallel parity ---------------- *)
 
@@ -377,34 +129,14 @@ let test_machine_sim_domain_relocatable () =
 let () =
   Alcotest.run "parallel"
     [
-      ( "mailbox",
+      ( "map",
         [
-          Alcotest.test_case "FIFO and capacity" `Quick
-            test_mailbox_fifo_and_capacity;
-          Alcotest.test_case "wraparound" `Quick test_mailbox_wraparound;
-          Alcotest.test_case "cross-domain SPSC" `Quick
-            test_mailbox_cross_domain;
-        ] );
-      ( "domains",
-        [
-          Alcotest.test_case "lookahead violation rejected" `Quick
-            test_domains_lookahead_violation;
-          Alcotest.test_case "mailbox capacity bound" `Quick
-            test_domains_mailbox_full;
-          Alcotest.test_case "partition failure propagates" `Quick
-            test_domains_error_propagates;
-          Alcotest.test_case "PHOLD invariant across domain counts" `Quick
-            test_phold_domain_count_invariance;
-          Alcotest.test_case "PHOLD invariant across partition counts" `Quick
-            test_phold_partition_count_invariance;
-          QCheck_alcotest.to_alcotest prop_phold_parallel_matches_oracle;
-        ] );
-      ( "partitioned net",
-        [
-          Alcotest.test_case "fabric matches single-fabric oracle" `Quick
-            test_partitioned_fabric_matches_oracle;
-          Alcotest.test_case "remote credit return forwarded" `Quick
-            test_flow_remote_credit_forwarded;
+          Alcotest.test_case "results in input order" `Quick
+            test_map_input_order;
+          Alcotest.test_case "earliest exception re-raised" `Quick
+            test_map_earliest_exception;
+          Alcotest.test_case "0 and 1 domains are List.map" `Quick
+            test_map_sequential_is_list_map;
         ] );
       ( "harness",
         [

@@ -276,8 +276,8 @@ let test_thread_unpark_idle_rejected () =
        "Thread t: woken with no blocking operation in flight (slot idle)")
     (fun () -> Thread.unpark th)
 
-(* Fast-path slot: a waker that fires before registration returns must
-   deliver its value inline, with no fiber suspension. *)
+(* A waker that fires before registration returns still delivers its
+   value, through exactly one suspension. *)
 let test_thread_wake_before_registration_returns () =
   let e = Engine.create () in
   let ns = Stats.create "slot" in
@@ -285,20 +285,16 @@ let test_thread_wake_before_registration_returns () =
   let _th =
     Thread.spawn e ~name:"t" (fun th ->
         Thread.set_suspend_counters th
-          ~taken:(Stats.counter ns "suspensions_taken")
-          ~elided:(Stats.counter ns "suspensions_elided");
+          ~taken:(Stats.counter ns "suspensions_taken");
         got := Thread.await th (fun wake -> wake 42))
   in
   Engine.run e;
-  check_int "value delivered inline" 42 !got;
-  if Thread.fastpath_enabled () then begin
-    check_int "no suspension taken" 0 (Stats.get ns "suspensions_taken");
-    check_int "one suspension elided" 1 (Stats.get ns "suspensions_elided")
-  end
+  check_int "value delivered" 42 !got;
+  check_int "one suspension taken" 1 (Stats.get ns "suspensions_taken")
 
 (* A wake that fires during registration while a same-time event is already
-   queued must NOT run the continuation inline: the queued event holds the
-   smaller FIFO sequence number and has to fire first. *)
+   queued resumes after it: the queued event holds the smaller FIFO
+   sequence number and has to fire first. *)
 let test_thread_wake_during_registration_ordering () =
   let e = Engine.create () in
   let order = ref [] in
