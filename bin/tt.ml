@@ -675,10 +675,6 @@ let recover_cmd =
   let run apps machine victims crash_pcts rejoins seeds nodes scale domains =
     let domains = resolve_domains domains in
     note_parallel domains;
-    if not (Tt_net.Faults.recovery_enabled ()) then
-      print_endline
-        "note: TT_RECOVERY=0 — crash injection is disabled; every cell \
-         runs fault-free";
     let crash_fracs = List.map (fun p -> p /. 100.0) crash_pcts in
     let points =
       H.Recovery.run ~apps ~machine ~victims ~crash_fracs ~rejoins ~seeds

@@ -23,14 +23,14 @@
     programs may read diagnosably stale copies (see {!Proto}).  [Delayed]
     and [Prodcons] are never chosen at runtime.
 
-    Kill switch: with [TT_ADAPT=0] in the environment nothing ever
-    switches (every page stays on the default invalidate protocol). *)
+    The machine that never switches is
+    [Tt_harness.Machine.typhoon_zoo ~policy:Stachelike]: every page stays
+    on the default invalidate protocol. *)
 
 type t
 
 val install : Tt_typhoon.System.t -> Tt_stache.Stache.t -> Proto.t -> t
-(** Install the observation callback into [proto].  Reads [TT_ADAPT] once,
-    at construction. *)
+(** Install the observation callback into [proto]. *)
 
 val on_sync : t -> node:int -> Tt_sim.Thread.t -> unit
 (** Barrier hook: reclassify every page [node] homes and switch the

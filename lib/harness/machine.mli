@@ -102,11 +102,6 @@ val typhoon_adaptive :
 (** Typhoon with the zoo plus per-page adaptive policy switching: pages
     start on the default invalidate protocol and {!Tt_custom.Adaptive}
     reclassifies them around every barrier and every 8th lock release.
-    Allocations are page-aligned like the static zoo machines.  With
-    [TT_ADAPT=0] nothing ever switches: every page keeps the default
-    invalidate protocol for the whole run. *)
-
-val typhoon_adaptive_full :
-  ?reliability:Tt_net.Reliable.policy -> ?max_stache_pages:int -> Params.t ->
-  t * Tt_typhoon.System.t * Tt_stache.Stache.t * Tt_custom.Proto.t
-  * Tt_custom.Adaptive.t
+    Allocations are page-aligned like the static zoo machines.  The
+    machine that never switches is {!typhoon_zoo} with
+    [~policy:Stachelike]. *)

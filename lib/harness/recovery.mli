@@ -31,9 +31,8 @@
       is reserved for a re-execution that itself fails.  Never silence,
       never corruption.
 
-    The [TT_RECOVERY=0] kill switch ({!Tt_net.Faults.set_recovery})
-    disables crash injection entirely, keeping every pinned regression row
-    bit-identical to a build without crash support. *)
+    Crash injection draws only from private per-victim streams, so a run
+    with no crash schedule keeps every pinned regression row. *)
 
 type outcome =
   | Masked  (** outage below the detection lease; retransmission hid it *)

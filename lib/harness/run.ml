@@ -128,6 +128,3 @@ let spmd (machine : Machine.t) ~name ?(check = true) ?watchdog body =
     proc_cycles;
     run_stats = machine.Machine.merged_stats ();
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf "%s on %s: %d cycles" r.app_name r.machine_label r.cycles

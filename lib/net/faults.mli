@@ -111,16 +111,6 @@ val per_vnet :
     clean response net, the asymmetry the [tt faults]
     [--request-drop]/[--response-drop] flags expose. *)
 
-val set_recovery : bool -> unit
-(** Kill switch (also [TT_RECOVERY=0] in the environment): when off,
-    {!create} ignores the config's crash schedule entirely, so every
-    pinned row is bit-identical to crash support never having existed.
-    Crash injection consumes no main-stream PRNG draws either way; the
-    switch exists so the claim is enforceable by an A/B gate
-    (scripts/check_recovery.sh) rather than argued. *)
-
-val recovery_enabled : unit -> bool
-
 type decision = { dropped : bool; reorder_jitter : int; dup_jitter : int }
 (** The complete fault decision for one {!send}: [dropped] wins over the
     rest; [reorder_jitter]/[dup_jitter] of [0] mean no reorder / no dup
@@ -132,6 +122,10 @@ val deliver : decision
 type t
 
 val create : config -> Fabric.t -> t
+(** Resolves the crash schedule into per-node windows.  Crash jitter is
+    drawn from private per-victim streams, never the main stream, so a
+    crash schedule never shifts any message-fault decision.
+    @raise Invalid_argument when a crash victim is outside [[0, nodes)]. *)
 
 val send : t -> at:int -> Message.t -> unit
 (** Like {!Fabric.send}, but the message may be dropped, delivered twice, or
@@ -155,7 +149,7 @@ val is_down : t -> node:int -> at:int -> bool
 val crash_window : t -> node:int -> (int * int option) option
 (** The resolved window for [node]: [Some (down, rejoin)] where [rejoin]
     is [None] for a permanent crash-stop; [None] if the node never
-    crashes (including when recovery is switched off). *)
+    crashes. *)
 
 val crash_drop : t -> Message.t -> unit
 (** Swallow a message on behalf of a crashed endpoint: count it under

@@ -23,16 +23,6 @@ module Thread = Tt_sim.Thread
    gives the response network, and the reason the response vnet's separate
    credit pool always retains enough credit to drain (§5.1). *)
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "TT_FLOW" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let set_enabled b = enabled_flag := b
-
-let enabled () = !enabled_flag
-
 type item = {
   i_seq : int; (* pair-local park order, spanning both sub-queues *)
   i_msg : Message.t;

@@ -35,24 +35,16 @@
     occupancies and credit levels, and the transport's outstanding
     retransmissions — never a silent hang.
 
-    {2 Kill switch and timing parity}
+    {2 Timing parity under ample credits}
 
-    [TT_FLOW=0] (or [false]/[off]) in the environment disables the layer
-    ({!enabled} becomes false); systems then send straight to the
-    transport with no capacity checks, reproducing the pre-flow-control
-    behaviour bit for bit.  With the layer on but credits ample (the
-    defaults: more credits than the transport's send window can ever use),
-    every send takes the direct path, which is pure integer bookkeeping —
-    no events, no charges, no allocation — so pinned simulated-cycle rows
-    are identical to [TT_FLOW=0].  [bench/main.ml] hard-asserts this
-    ([flowcontrol_timing_parity]), and [scripts/check_flowcontrol.sh] runs
-    the whole suite both ways. *)
-
-val set_enabled : bool -> unit
-(** Override the [TT_FLOW] environment default (tests use this to compare
-    both behaviours in one process). *)
-
-val enabled : unit -> bool
+    With credits ample (the defaults: more credits than the transport's
+    send window can ever use), every send takes the direct path, which is
+    pure integer bookkeeping around {!Reliable.send}: no events, no
+    charges, no allocation.  Default runs therefore add no simulated
+    cycles: [test/test_flow.ml] checks that the Fig. 3 round trip records
+    [flow.blocked = 0] and [flow.spilled = 0], and the round-trip rows of
+    [test/test_regression.ml], pinned before this layer existed, still
+    hold with it in place. *)
 
 type t
 

@@ -78,7 +78,7 @@ type t = {
   params : Params.t;
   fabric : Fabric.t;
   net : Reliable.t;
-  flow : Flow.t option; (* [None] when the TT_FLOW kill switch is off *)
+  flow : Flow.t;
   tables : Tempest.Handlers.tables;
   nodes : node array;
   mutable bulk_token : int;
@@ -150,18 +150,15 @@ let check_bulk_range mem ~what ~va ~len =
   done
 
 let make_endpoint t node =
-  (* Route a message onto the network through the flow-control layer when
-     it is on: a handler-context send may spill into the node's §5.1
-     overflow buffer, a CPU-context send may block the thread until
-     credits return.  With ample credits both reduce to pure integer
-     bookkeeping around [Reliable.send]. *)
+  (* Route a message onto the network through the flow-control layer: a
+     handler-context send may spill into the node's §5.1 overflow buffer, a
+     CPU-context send may block the thread until credits return.  With
+     ample credits both reduce to pure integer bookkeeping around
+     [Reliable.send]. *)
   let net_send ~at msg =
-    match t.flow with
-    | None -> Reliable.send t.net ~at msg
-    | Some fl -> (
-        match node.ctx with
-        | Np_ctx -> Flow.send_from_handler fl ~at msg
-        | Cpu_ctx th -> Flow.send_from_cpu fl ~at th msg)
+    match node.ctx with
+    | Np_ctx -> Flow.send_from_handler t.flow ~at msg
+    | Cpu_ctx th -> Flow.send_from_cpu t.flow ~at th msg
   in
   let send_raw ~dst ~vnet ~handler ~args ~data =
     let msg =
@@ -344,11 +341,7 @@ let make_endpoint t node =
       (fun r ->
         charge node Costs.resume_op;
         Tempest.fire r);
-    overflow_pending =
-      (fun () ->
-        match t.flow with
-        | Some fl -> Flow.node_queued fl node.id
-        | None -> 0);
+    overflow_pending = (fun () -> Flow.node_queued t.flow node.id);
   }
 
 let np_prologue node =
@@ -362,11 +355,8 @@ let np_prologue node =
    receiving NP has *executed* the message's handler, not on mere arrival —
    finite NP queues are covered by the same credits as the wire. *)
 let return_credit t (msg : Message.t) =
-  match t.flow with
-  | None -> ()
-  | Some fl ->
-      Flow.credit_return fl ~src:msg.Message.src ~dst:msg.Message.dst
-        msg.Message.vnet
+  Flow.credit_return t.flow ~src:msg.Message.src ~dst:msg.Message.dst
+    msg.Message.vnet
 
 let np_msg_exec t node (msg : Message.t) =
   np_prologue node;
@@ -426,15 +416,12 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
       ~capacity:p.Params.fabric_capacity () in
   let net = Reliable.create engine fabric reliability in
   let flow =
-    if Flow.enabled () then
-      Some
-        (Flow.create net ~nodes:p.Params.nodes
-           ~request_credits:p.Params.flow_request_credits
-           ~response_credits:p.Params.flow_response_credits
-           ~spill_capacity:p.Params.flow_spill_capacity
-           ~spill_cost:Costs.spill_store ~drain_cost:Costs.spill_drain
-           ~status_cost:Costs.status_dispatch ())
-    else None
+    Flow.create net ~nodes:p.Params.nodes
+      ~request_credits:p.Params.flow_request_credits
+      ~response_credits:p.Params.flow_response_credits
+      ~spill_capacity:p.Params.flow_spill_capacity
+      ~spill_cost:Costs.spill_store ~drain_cost:Costs.spill_drain
+      ~status_cost:Costs.status_dispatch ()
   in
   let tables = Tempest.Handlers.create () in
   let nodes =
@@ -489,27 +476,23 @@ let create ?(reliability = Reliable.Perfect) engine (p : Params.t) =
       Reliable.set_receiver net ~node:node.id (fun msg ->
           Np.post_message node.np ~at:(Engine.now engine) msg))
     nodes;
-  (match flow with
-  | None -> ()
-  | Some fl ->
-      (* Drain chores are §5.1's second-level status dispatch: they run on
-         the parked sender's NP, a wire delay after the credit returned.
-         [post_deferred] requires monotone ready times per ring, and
-         [Np.clock] can run ahead of engine time mid-drain, so clamp to
-         whichever is later — the max is monotone because both operands
-         are. *)
-      Flow.set_hooks fl
-        ~post:(fun nid chore ->
-          let np = nodes.(nid).np in
-          Np.post_deferred np
-            ~at:(max (Engine.now engine + p.Params.net_latency) (Np.clock np))
-            chore)
-        ~clock:(fun nid -> Np.clock nodes.(nid).np)
-        ~charge:(fun nid c -> Np.charge nodes.(nid).np c)
-        ~status:(fun nid ~pending ->
-          match Tempest.Handlers.status t.tables with
-          | Some h -> h (Option.get nodes.(nid).endpoint) ~pending
-          | None -> ()));
+  (* Drain chores are §5.1's second-level status dispatch: they run on the
+     parked sender's NP, a wire delay after the credit returned.
+     [post_deferred] requires monotone ready times per ring, and [Np.clock]
+     can run ahead of engine time mid-drain, so clamp to whichever is
+     later — the max is monotone because both operands are. *)
+  Flow.set_hooks flow
+    ~post:(fun nid chore ->
+      let np = nodes.(nid).np in
+      Np.post_deferred np
+        ~at:(max (Engine.now engine + p.Params.net_latency) (Np.clock np))
+        chore)
+    ~clock:(fun nid -> Np.clock nodes.(nid).np)
+    ~charge:(fun nid c -> Np.charge nodes.(nid).np c)
+    ~status:(fun nid ~pending ->
+      match Tempest.Handlers.status t.tables with
+      | Some h -> h (Option.get nodes.(nid).endpoint) ~pending
+      | None -> ());
   (* Built-in receive handler for bulk-transfer packets: force-write the
      data at the destination address; the last packet fires the completion
      callback. *)
@@ -662,9 +645,7 @@ let merged_stats t =
   (match Reliable.fault_stats t.net with
   | Some s -> Stats.merge_into ~dst:out s
   | None -> ());
-  (match t.flow with
-  | Some fl -> Stats.merge_into ~dst:out (Flow.stats fl)
-  | None -> ());
+  Stats.merge_into ~dst:out (Flow.stats t.flow);
   out
 
 (* ------------------------------------------------------------------ *)
@@ -689,10 +670,7 @@ let queue_summary t =
       if d > 0 then
         Buffer.add_string b (Printf.sprintf "np%d depth=%d; " n.id d))
     t.nodes;
-  (match t.flow with
-  | Some fl -> Buffer.add_string b (Flow.describe fl)
-  | None -> ());
+  Buffer.add_string b (Flow.describe t.flow);
   if Buffer.length b = 0 then "all queues empty" else Buffer.contents b
 
-let deadlock_probe t =
-  match t.flow with None -> None | Some fl -> Flow.deadlock fl
+let deadlock_probe t = Flow.deadlock t.flow

@@ -46,52 +46,32 @@ let check_contains what sub s =
   if not (contains s sub) then
     Alcotest.failf "%s: expected %S inside %S" what sub s
 
-let with_flow on f =
-  let prev = Flow.enabled () in
-  Flow.set_enabled on;
-  Fun.protect ~finally:(fun () -> Flow.set_enabled prev) f
-
 (* ---------------- Ample credits: timing parity ---------------- *)
 
 (* The Fig. 3 unit event (one 512-byte block fetched word by word between
-   two nodes) with the flow layer on vs. off: cycles, per-proc cycles, and
-   every counter except the flow layer's own must be bit-identical, because
-   ample credits keep every send on the direct path. *)
+   two nodes) with default Params: ample credits keep every send on the
+   direct path, which is pure bookkeeping, so nothing blocks or spills and
+   no drain chore runs.  Its cycles are pinned by test_regression.ml. *)
 
-let roundtrip make_machine =
+let test_roundtrip_direct_path () =
   let params = { Params.default with Params.nodes = 2 } in
-  let machine : H.Machine.t = make_machine params in
+  let machine, sys, _ = H.Machine.typhoon_stache_full params in
   let base = ref 0 in
-  Run.spmd machine ~name:"roundtrip" ~check:false (fun env ->
-      if env.Env.proc = 0 then base := env.Env.alloc ~home:0 512;
-      env.Env.barrier ();
-      if env.Env.proc = 1 then
-        for w = 0 to 63 do
-          ignore (env.Env.read (!base + (w * 8)))
-        done)
-
-let comparable_stats r =
-  Stats.counters r.Run.run_stats
-  |> List.filter (fun (k, _) ->
-         (not (String.length k >= 5 && String.sub k 0 5 = "flow."))
-         && not (String.length k >= 12 && String.sub k 0 12 = "suspensions_"))
-
-let check_parity name make_machine =
-  let on = with_flow true (fun () -> roundtrip make_machine) in
-  let off = with_flow false (fun () -> roundtrip make_machine) in
-  check_int (name ^ ": cycles identical") off.Run.cycles on.Run.cycles;
-  check_bool
-    (name ^ ": per-proc cycles identical")
-    true
-    (on.Run.proc_cycles = off.Run.proc_cycles);
-  check_bool
-    (name ^ ": stats identical (minus flow counters)")
-    true
-    (comparable_stats on = comparable_stats off)
-
-let test_roundtrip_parity () =
-  check_parity "stache" (fun p -> H.Machine.typhoon_stache p);
-  check_parity "dirnnb" H.Machine.dirnnb
+  let r =
+    Run.spmd machine ~name:"roundtrip" ~check:false (fun env ->
+        if env.Env.proc = 0 then base := env.Env.alloc ~home:0 512;
+        env.Env.barrier ();
+        if env.Env.proc = 1 then
+          for w = 0 to 63 do
+            ignore (env.Env.read (!base + (w * 8)))
+          done)
+  in
+  let s = r.Run.run_stats in
+  check_bool "messages were sent" true (Stats.get s "msgs.request" > 0);
+  check_int "flow.blocked" 0 (Stats.get s "flow.blocked");
+  check_int "flow.spilled" 0 (Stats.get s "flow.spilled");
+  check_int "flow.drain_chores" 0 (Stats.get s "flow.drain_chores");
+  check_int "nothing ever parked" 0 (Flow.peak_queued (System.flow sys))
 
 (* ---------------- Squeezed credits: CPU senders block ---------------- *)
 
@@ -106,97 +86,94 @@ let squeezed ?(spill = Params.default.Params.flow_spill_capacity) ~credits
   }
 
 let test_cpu_sender_blocks_and_resumes () =
-  with_flow true (fun () ->
-      let engine = Engine.create () in
-      let sys = System.create engine (squeezed ~credits:1 ~nodes:2 ()) in
-      let received = ref 0 in
-      let sink =
-        Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
-          (fun _ep ~src:_ ~args:_ ~data:_ -> incr received)
-      in
-      let statuses = ref 0 and last_pending = ref (-1) in
-      Tempest.Handlers.set_status (System.handlers sys) (fun ep ~pending ->
-          incr statuses;
-          last_pending := pending;
-          check_int "status pending matches endpoint probe" pending
-            (ep.Tempest.overflow_pending ()));
-      let ep = System.endpoint sys 0 in
-      let th =
-        Thread.spawn engine ~name:"cpu0" (fun th ->
-            for _ = 1 to 20 do
-              (* a tail send is the one suspension with_cpu_context allows *)
-              System.with_cpu_context sys ~node:0 th (fun () ->
-                  ep.Tempest.send_raw ~dst:1 ~vnet:Message.Request
-                    ~handler:sink ~args:[||] ~data:Bytes.empty)
-            done)
-      in
-      Engine.run engine;
-      check_bool "sender finished" true (Thread.finished th);
-      check_int "all messages delivered" 20 !received;
-      let s = System.merged_stats sys in
-      (* one credit: the first send is direct, every later one parks the
-         thread until the predecessor's credit returns *)
-      check_int "CPU sends blocked" 19 (Stats.get s "flow.blocked");
-      check_int "parked messages drained" 19 (Stats.get s "flow.drained");
-      check_int "no handler spills" 0 (Stats.get s "flow.spilled");
-      check_bool "status handler ran" true (!statuses > 0);
-      check_int "backlog empty at the end" 0 !last_pending)
+  let engine = Engine.create () in
+  let sys = System.create engine (squeezed ~credits:1 ~nodes:2 ()) in
+  let received = ref 0 in
+  let sink =
+    Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
+      (fun _ep ~src:_ ~args:_ ~data:_ -> incr received)
+  in
+  let statuses = ref 0 and last_pending = ref (-1) in
+  Tempest.Handlers.set_status (System.handlers sys) (fun ep ~pending ->
+      incr statuses;
+      last_pending := pending;
+      check_int "status pending matches endpoint probe" pending
+        (ep.Tempest.overflow_pending ()));
+  let ep = System.endpoint sys 0 in
+  let th =
+    Thread.spawn engine ~name:"cpu0" (fun th ->
+        for _ = 1 to 20 do
+          (* a tail send is the one suspension with_cpu_context allows *)
+          System.with_cpu_context sys ~node:0 th (fun () ->
+              ep.Tempest.send_raw ~dst:1 ~vnet:Message.Request
+                ~handler:sink ~args:[||] ~data:Bytes.empty)
+        done)
+  in
+  Engine.run engine;
+  check_bool "sender finished" true (Thread.finished th);
+  check_int "all messages delivered" 20 !received;
+  let s = System.merged_stats sys in
+  (* one credit: the first send is direct, every later one parks the
+     thread until the predecessor's credit returns *)
+  check_int "CPU sends blocked" 19 (Stats.get s "flow.blocked");
+  check_int "parked messages drained" 19 (Stats.get s "flow.drained");
+  check_int "no handler spills" 0 (Stats.get s "flow.spilled");
+  check_bool "status handler ran" true (!statuses > 0);
+  check_int "backlog empty at the end" 0 !last_pending
 
 (* ---------------- Squeezed credits: handler sends spill ---------------- *)
 
 let test_handler_sends_spill_and_drain () =
-  with_flow true (fun () ->
-      let engine = Engine.create () in
-      let sys = System.create engine (squeezed ~credits:1 ~nodes:2 ()) in
-      let received = ref 0 in
-      let sink =
-        Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
-          (fun _ep ~src:_ ~args:_ ~data:_ -> incr received)
-      in
-      let last_pending = ref (-1) in
-      Tempest.Handlers.set_status (System.handlers sys)
-        (fun _ep ~pending -> last_pending := pending);
-      let ep1 = System.endpoint sys 1 in
-      (* NP context runs to completion: out of credits it must spill into
-         the overflow buffer, never block *)
-      Np.post_deferred (System.node_np sys 1) ~at:0 (fun () ->
-          for _ = 1 to 20 do
-            ep1.Tempest.send_raw ~dst:0 ~vnet:Message.Request ~handler:sink
-              ~args:[||] ~data:Bytes.empty
-          done);
-      Engine.run engine;
-      check_int "all messages delivered" 20 !received;
-      let s = System.merged_stats sys in
-      check_int "handler sends spilled" 19 (Stats.get s "flow.spilled");
-      check_int "spilled messages drained" 19 (Stats.get s "flow.drained");
-      check_int "no CPU sends blocked" 0 (Stats.get s "flow.blocked");
-      check_int "overflow high-water mark" 19 (Stats.get s "flow.peak_queued");
-      check_bool "drain chores dispatched" true
-        (Stats.get s "flow.drain_chores" > 0);
-      check_int "backlog empty at the end" 0 !last_pending)
+  let engine = Engine.create () in
+  let sys = System.create engine (squeezed ~credits:1 ~nodes:2 ()) in
+  let received = ref 0 in
+  let sink =
+    Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
+      (fun _ep ~src:_ ~args:_ ~data:_ -> incr received)
+  in
+  let last_pending = ref (-1) in
+  Tempest.Handlers.set_status (System.handlers sys)
+    (fun _ep ~pending -> last_pending := pending);
+  let ep1 = System.endpoint sys 1 in
+  (* NP context runs to completion: out of credits it must spill into
+     the overflow buffer, never block *)
+  Np.post_deferred (System.node_np sys 1) ~at:0 (fun () ->
+      for _ = 1 to 20 do
+        ep1.Tempest.send_raw ~dst:0 ~vnet:Message.Request ~handler:sink
+          ~args:[||] ~data:Bytes.empty
+      done);
+  Engine.run engine;
+  check_int "all messages delivered" 20 !received;
+  let s = System.merged_stats sys in
+  check_int "handler sends spilled" 19 (Stats.get s "flow.spilled");
+  check_int "spilled messages drained" 19 (Stats.get s "flow.drained");
+  check_int "no CPU sends blocked" 0 (Stats.get s "flow.blocked");
+  check_int "overflow high-water mark" 19 (Stats.get s "flow.peak_queued");
+  check_bool "drain chores dispatched" true
+    (Stats.get s "flow.drain_chores" > 0);
+  check_int "backlog empty at the end" 0 !last_pending
 
 let test_spill_overflow_aborts_with_diagnostic () =
-  with_flow true (fun () ->
-      let engine = Engine.create () in
-      let sys =
-        System.create engine (squeezed ~credits:1 ~spill:4 ~nodes:2 ())
-      in
-      let sink =
-        Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
-          (fun _ep ~src:_ ~args:_ ~data:_ -> ())
-      in
-      let ep1 = System.endpoint sys 1 in
-      Np.post_deferred (System.node_np sys 1) ~at:0 (fun () ->
-          (* 1 direct + 4 spilled fill everything; the 6th must abort *)
-          for _ = 1 to 10 do
-            ep1.Tempest.send_raw ~dst:0 ~vnet:Message.Request ~handler:sink
-              ~args:[||] ~data:Bytes.empty
-          done);
-      match Engine.run engine with
-      | () -> Alcotest.fail "expected Overload out of the overfull spill"
-      | exception Overload.Overload msg ->
-          check_contains "diagnostic" "overflow buffer full" msg;
-          check_contains "diagnostic names the node" "node 1" msg)
+  let engine = Engine.create () in
+  let sys =
+    System.create engine (squeezed ~credits:1 ~spill:4 ~nodes:2 ())
+  in
+  let sink =
+    Tempest.Handlers.register_message (System.handlers sys) ~name:"sink"
+      (fun _ep ~src:_ ~args:_ ~data:_ -> ())
+  in
+  let ep1 = System.endpoint sys 1 in
+  Np.post_deferred (System.node_np sys 1) ~at:0 (fun () ->
+      (* 1 direct + 4 spilled fill everything; the 6th must abort *)
+      for _ = 1 to 10 do
+        ep1.Tempest.send_raw ~dst:0 ~vnet:Message.Request ~handler:sink
+          ~args:[||] ~data:Bytes.empty
+      done);
+  match Engine.run engine with
+  | () -> Alcotest.fail "expected Overload out of the overfull spill"
+  | exception Overload.Overload msg ->
+      check_contains "diagnostic" "overflow buffer full" msg;
+      check_contains "diagnostic names the node" "node 1" msg
 
 (* ---------------- Waits-for graph probe (Flow unit) ---------------- *)
 
@@ -358,72 +335,72 @@ let test_watchdog_progress_defuses_stall () =
    cell must terminate with correct results or a captured diagnostic —
    reaching the assertions at all proves no silent hang. *)
 let test_overload_grid_faultsweep () =
-  with_flow true (fun () ->
-      let points =
-        Faultsweep.run ~apps:[ "em3d" ] ~machine:"stache" ~drops:[ 0.05 ]
-          ~seeds:[ 1; 2 ] ~burst:(Faults.bursty ()) ~credits:2 ~spill:10_000
-          ~scale:0.05 ~nodes:4 ()
-      in
-      check_int "grid size" 2 (List.length points);
-      List.iter
-        (fun p ->
-          match p.Faultsweep.outcome with
-          | Faultsweep.Passed -> ()
-          | Faultsweep.Failed msg ->
-              check_bool "failure carries a diagnostic" true
-                (String.length msg > 0))
-        points)
+  let points =
+    Faultsweep.run ~apps:[ "em3d" ] ~machine:"stache" ~drops:[ 0.05 ]
+      ~seeds:[ 1; 2 ] ~burst:(Faults.bursty ()) ~credits:2 ~spill:10_000
+      ~scale:0.05 ~nodes:4 ()
+  in
+  check_int "grid size" 2 (List.length points);
+  List.iter
+    (fun p ->
+      match p.Faultsweep.outcome with
+      | Faultsweep.Passed -> ()
+      | Faultsweep.Failed msg ->
+          check_bool "failure carries a diagnostic" true
+            (String.length msg > 0))
+    points
 
 (* Torture litmus shapes under tiny credits and queue capacities with
    perturbed schedules and faults: backpressure may slow or abort a run
    (Hang carries the diagnostic; Link is the transport giving up), but it
    must never corrupt coherence — no SC, stale, or invariant violations. *)
 let test_torture_under_overload () =
-  with_flow true (fun () ->
-      let tweak p =
+  let tweak p =
+    {
+      p with
+      Params.flow_request_credits = 2;
+      flow_response_credits = 2;
+      flow_spill_capacity = 64;
+      np_queue_capacity = 256;
+    }
+  in
+  List.iter
+    (fun (litmus, drop) ->
+      let case =
         {
-          p with
-          Params.flow_request_credits = 2;
-          flow_response_credits = 2;
-          flow_spill_capacity = 64;
-          np_queue_capacity = 256;
+          T.litmus;
+          machine = "stache";
+          drop;
+          fault_seed = 3;
+          perturb_rate = 0.25;
+          perturb_seed = 7;
+          iters = 2;
+          sabotage = false;
         }
       in
-      List.iter
-        (fun (litmus, drop) ->
-          let case =
-            {
-              T.litmus;
-              machine = "stache";
-              drop;
-              fault_seed = 3;
-              perturb_rate = 0.25;
-              perturb_seed = 7;
-              iters = 2;
-              sabotage = false;
-            }
-          in
-          let r = T.run ~tweak_params:tweak case in
-          match r.T.outcome with
-          | T.Pass -> ()
-          | T.Fail v -> (
-              match v.T.kind with
-              | T.Hang | T.Link ->
-                  check_bool
-                    (litmus ^ ": diagnosed abort carries detail")
-                    true
-                    (String.length v.T.detail > 0)
-              | T.Sc | T.Stale | T.Invariant | T.Crash ->
-                  Alcotest.failf "%s: overload corrupted coherence: %s" litmus
-                    v.T.detail))
-        [ ("SB", 0.0); ("SB", 0.1); ("MP", 0.1); ("LOCK", 0.08) ])
+      let r = T.run ~tweak_params:tweak case in
+      match r.T.outcome with
+      | T.Pass -> ()
+      | T.Fail v -> (
+          match v.T.kind with
+          | T.Hang | T.Link ->
+              check_bool
+                (litmus ^ ": diagnosed abort carries detail")
+                true
+                (String.length v.T.detail > 0)
+          | T.Sc | T.Stale | T.Invariant | T.Crash ->
+              Alcotest.failf "%s: overload corrupted coherence: %s" litmus
+                v.T.detail))
+    [ ("SB", 0.0); ("SB", 0.1); ("MP", 0.1); ("LOCK", 0.08) ]
 
 let () =
   Alcotest.run "flow"
     [
       ( "timing-parity",
-        [ Alcotest.test_case "fig3 roundtrips" `Quick test_roundtrip_parity ]
-      );
+        [
+          Alcotest.test_case "fig3 roundtrip direct path" `Quick
+            test_roundtrip_direct_path;
+        ] );
       ( "backpressure",
         [
           Alcotest.test_case "CPU sender blocks and resumes" `Quick

@@ -514,17 +514,23 @@ let test_reliable_perfect_passthrough () =
 
 (* ---------------- crash-stop failures ---------------- *)
 
-(* Tests that inject crash windows must hold the recovery switch on for
-   their duration: the suite also runs under TT_RECOVERY=0 (see
-   scripts/check_recovery.sh), where [Faults.create] would otherwise
-   ignore the schedule and the window under test would never open. *)
-let with_recovery_on f () =
-  let prior = Faults.recovery_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Faults.set_recovery prior)
-    (fun () ->
-      Faults.set_recovery true;
-      f ())
+(* A crash schedule naming a node outside the machine is a configuration
+   error, reported by [Faults.create] rather than silently ignored. *)
+let test_crash_victim_out_of_range () =
+  let e = Engine.create () in
+  let f = Fabric.create e ~nodes:2 ~latency:11 () in
+  List.iter
+    (fun victim ->
+      let cfg =
+        Faults.uniform ~seed:1 ~crashes:[ Faults.crash ~victim ~at:0 () ] ()
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "victim %d" victim)
+        (Invalid_argument
+           (Printf.sprintf "Faults.create: crash victim %d out of [0,2)"
+              victim))
+        (fun () -> ignore (Faults.create cfg f)))
+    [ 2; -1 ]
 
 let test_bidirectional_link_failed () =
   (* both directions of a pair exhaust their retry budgets against a 100%
@@ -749,10 +755,11 @@ let () =
           Alcotest.test_case "Peer_dead without a recovery layer" `Quick
             test_peer_dead_raises_without_recovery;
           Alcotest.test_case "crash window heals after rejoin" `Quick
-            (with_recovery_on test_crash_window_heals_after_rejoin);
-          Alcotest.test_case "liveness verdicts" `Quick
-            (with_recovery_on test_liveness_verdicts);
+            test_crash_window_heals_after_rejoin;
+          Alcotest.test_case "liveness verdicts" `Quick test_liveness_verdicts;
           Alcotest.test_case "scrub neutralizes held queues" `Quick
             test_scrub_unacked_neutralizes;
+          Alcotest.test_case "crash victim out of range" `Quick
+            test_crash_victim_out_of_range;
         ] );
     ]

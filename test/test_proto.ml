@@ -25,15 +25,6 @@ let check_bool = Alcotest.(check bool)
 
 let params nodes = { Params.default with Params.nodes }
 
-(* force the adaptive kill switch for one test body (the whole suite also
-   runs under TT_ADAPT=0 via scripts/check_protocols.sh) *)
-let with_adapt v f =
-  let was = Sys.getenv_opt "TT_ADAPT" in
-  Unix.putenv "TT_ADAPT" v;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TT_ADAPT" (Option.value was ~default:"1"))
-    f
-
 (* regression: retyping a page in place must drop the home's 1-entry MRU
    translation cache, or the next access rides a stale cached mode *)
 let test_mru_flushed_on_policy_switch () =
@@ -87,27 +78,12 @@ let test_mru_flushed_on_rejoin () =
 (* the adaptive machine switches pages on the producer-consumer synthetic
    and still verifies against the oracle *)
 let test_adaptive_switches_and_verifies () =
-  with_adapt "1" @@ fun () ->
   let machine = Machine.typhoon_adaptive (params 8) in
   let inst = Catalog.make ~name:"synthpc" ~size:Catalog.Small ~scale:0.25 ~nprocs:8 in
   let r = Run.spmd machine ~name:"synthpc" inst.Catalog.body in
   ignore (Run.spmd machine ~name:"synthpc-verify" ~check:false inst.Catalog.verify);
   let switches = Stats.get r.Run.run_stats "switches" in
   check_bool (Printf.sprintf "switches > 0 (got %d)" switches) true (switches > 0)
-
-(* TT_ADAPT=0 is a hard kill switch: nothing switches, results verify *)
-let test_kill_switch_disables_switching () =
-  with_adapt "0" (fun () ->
-      let machine = Machine.typhoon_adaptive (params 8) in
-      let inst =
-        Catalog.make ~name:"synthpc" ~size:Catalog.Small ~scale:0.25 ~nprocs:8
-      in
-      let r = Run.spmd machine ~name:"synthpc" inst.Catalog.body in
-      ignore
-        (Run.spmd machine ~name:"synthpc-verify" ~check:false
-           inst.Catalog.verify);
-      check_int "no switches under TT_ADAPT=0" 0
-        (Stats.get r.Run.run_stats "switches"))
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -155,7 +131,6 @@ let test_litmus_clean_under_sc_zoo () =
    only ever as a *diagnosed* SC/staleness violation — a hang, transport
    give-up, invariant breach or protocol crash is a real bug *)
 let test_litmus_diagnosed_under_update_zoo () =
-  with_adapt "1" @@ fun () ->
   let results =
     run_grid
       (torture_cases
@@ -203,7 +178,6 @@ let test_faultsweep_cell_per_protocol () =
 (* --- shootout sanity: tiny grid, adaptive gate holds --- *)
 
 let test_mini_shootout_adaptive_gate () =
-  with_adapt "1" @@ fun () ->
   let cells =
     Protozoo.run ~apps:[ "synthpc" ]
       ~protos:[ "stache"; "widerep"; "adaptive" ]
@@ -230,8 +204,6 @@ let () =
         [
           Alcotest.test_case "switches and verifies" `Quick
             test_adaptive_switches_and_verifies;
-          Alcotest.test_case "TT_ADAPT=0 kill switch" `Quick
-            test_kill_switch_disables_switching;
           Alcotest.test_case "mini shootout gate" `Slow
             test_mini_shootout_adaptive_gate;
         ] );

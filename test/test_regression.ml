@@ -104,6 +104,29 @@ let test_em3d_update_pinned () =
   check_int "fetches" 37 (Stats.get s "fetches");
   check_int "local_misses" 175 (Stats.get s "local_misses")
 
+(* The protocol-zoo shootout's synthetic producer-consumer app: pins the
+   default invalidate protocol on the zoo machine (every page stays
+   Stachelike) and the adaptive machine, whose per-page switching must
+   fire and pay off. *)
+let synthpc machine =
+  let inst =
+    H.Catalog.make ~name:"synthpc" ~size:H.Catalog.Small ~scale:0.25 ~nprocs:8
+  in
+  Run.spmd machine ~name:"synthpc" inst.H.Catalog.body
+
+let test_synthpc_pinned () =
+  let params = { Params.default with Params.nodes = 8 } in
+  let zoo =
+    synthpc (H.Machine.typhoon_zoo ~policy:Tt_custom.Proto.Stachelike params)
+  in
+  check_int "zoo stachelike cycles" 35828 zoo.Run.cycles;
+  let adaptive = synthpc (H.Machine.typhoon_adaptive params) in
+  check_int "adaptive cycles" 18735 adaptive.Run.cycles;
+  let switches = Stats.get adaptive.Run.run_stats "switches" in
+  Alcotest.(check bool)
+    (Printf.sprintf "adaptive switches > 0 (got %d)" switches)
+    true (switches > 0)
+
 let () =
   Alcotest.run "regression"
     [
@@ -116,5 +139,7 @@ let () =
           Alcotest.test_case "stache roundtrip, flaky fabric" `Quick
             test_stache_flaky_roundtrip_pinned;
           Alcotest.test_case "em3d update tiny" `Quick test_em3d_update_pinned;
+          Alcotest.test_case "synthpc zoo and adaptive" `Quick
+            test_synthpc_pinned;
         ] );
     ]
